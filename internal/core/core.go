@@ -351,7 +351,7 @@ func (a *Analyzer) addSource(name string, monitored netip.Prefix, src pipeline.S
 	var maxTS time.Time
 	shardBins := make([][]int64, 0, len(sinks))
 	for _, s := range sinks {
-		tgt.netLayer.Merge(s.netLayer)
+		s.foldNetLayer(tgt.netLayer)
 		unionHosts(tgt.monitoredHosts, s.monHosts)
 		unionHosts(tgt.localHosts, s.localHosts)
 		unionHosts(tgt.remoteHosts, s.remoteHosts)

@@ -46,7 +46,8 @@ type shardSink struct {
 	base      time.Time
 
 	// Packet-level accumulators (merged across shards in shard order).
-	netLayer                          *stats.Counter
+	// netLayer counts frames per Table 2 key, indexed like netLayerKeys.
+	netLayer                          [len(netLayerKeys)]int64
 	monHosts, localHosts, remoteHosts map[netip.Addr]struct{}
 	// bins holds wire bytes per second since base (the trace's first
 	// packet, fixed by the router before any worker starts).
@@ -106,7 +107,6 @@ func newShardSink(opts *Options, monitored netip.Prefix, base time.Time) *shardS
 		opts:        opts,
 		monitored:   monitored,
 		base:        base,
-		netLayer:    stats.NewCounter(),
 		monHosts:    make(map[netip.Addr]struct{}),
 		localHosts:  make(map[netip.Addr]struct{}),
 		remoteHosts: make(map[netip.Addr]struct{}),
@@ -114,9 +114,32 @@ func newShardSink(opts *Options, monitored netip.Prefix, base time.Time) *shardS
 	}
 }
 
+// netLayerKeys are the network-layer counter keys (Table 2 plus the
+// undecodable census), in shardSink.netLayer index order.
+var netLayerKeys = [...]string{"IP", "ARP", "IPX", "Other", "undecodable"}
+
+const (
+	netIP = iota
+	netARP
+	netIPX
+	netOther
+	netUndecodable
+)
+
+// foldNetLayer adds the shard's network-layer counts into c. Keys the
+// shard never saw stay absent, so the key set is what per-packet
+// counting would have produced.
+func (s *shardSink) foldNetLayer(c *stats.Counter) {
+	for i, n := range s.netLayer {
+		if n != 0 {
+			c.Add(netLayerKeys[i], n)
+		}
+	}
+}
+
 // Undecodable implements pipeline.Sink.
 func (s *shardSink) Undecodable(idx int64) {
-	s.netLayer.Inc("undecodable")
+	s.netLayer[netUndecodable]++
 }
 
 // Packet implements pipeline.Sink. pk may come from a recycled-buffer
@@ -126,7 +149,16 @@ func (s *shardSink) Undecodable(idx int64) {
 // analysis.
 func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir) {
 	s.countNetLayer(p)
-	s.recordHosts(p)
+	switch {
+	case conn == nil:
+		s.recordHosts(p)
+	case conn.Packets() == 1:
+		// Every packet of a connection carries its key's two endpoints
+		// (flows keys on NetSrc/NetDst), so the census needs only the
+		// packet that created it.
+		s.recordHost(conn.Key.Src)
+		s.recordHost(conn.Key.Dst)
+	}
 	s.bin(pk.Timestamp, pk.OrigLen)
 	if pk.Timestamp.After(s.maxTS) {
 		s.maxTS = pk.Timestamp
@@ -260,36 +292,40 @@ func (s *shardSink) captureUDP(idx int64, pk *pcap.Packet, p *layers.Packet) {
 func (s *shardSink) countNetLayer(p *layers.Packet) {
 	switch {
 	case p.Layers.Has(layers.LayerIPv4), p.Layers.Has(layers.LayerIPv6):
-		s.netLayer.Inc("IP")
+		s.netLayer[netIP]++
 	case p.Layers.Has(layers.LayerARP):
-		s.netLayer.Inc("ARP")
+		s.netLayer[netARP]++
 	case p.Layers.Has(layers.LayerIPX):
-		s.netLayer.Inc("IPX")
+		s.netLayer[netIPX]++
 	default:
-		s.netLayer.Inc("Other")
+		s.netLayer[netOther]++
 	}
 }
 
+// recordHosts adds a packet's network endpoints to the host census. The
+// sink calls it only for packets outside any connection; a connection's
+// endpoints are recorded once, at its first packet.
 func (s *shardSink) recordHosts(p *layers.Packet) {
-	record := func(addr netip.Addr) {
-		if !addr.IsValid() || addr.IsMulticast() {
-			return
-		}
-		switch {
-		case s.monitored.Contains(addr):
-			s.monHosts[addr] = struct{}{}
-			s.localHosts[addr] = struct{}{}
-		case s.opts.IsLocal(addr):
-			s.localHosts[addr] = struct{}{}
-		default:
-			s.remoteHosts[addr] = struct{}{}
-		}
-	}
 	if src, ok := p.NetSrc(); ok {
-		record(src)
+		s.recordHost(src)
 	}
 	if dst, ok := p.NetDst(); ok {
-		record(dst)
+		s.recordHost(dst)
+	}
+}
+
+func (s *shardSink) recordHost(addr netip.Addr) {
+	if !addr.IsValid() || addr.IsMulticast() {
+		return
+	}
+	switch {
+	case s.monitored.Contains(addr):
+		s.monHosts[addr] = struct{}{}
+		s.localHosts[addr] = struct{}{}
+	case s.opts.IsLocal(addr):
+		s.localHosts[addr] = struct{}{}
+	default:
+		s.remoteHosts[addr] = struct{}{}
 	}
 }
 

@@ -57,7 +57,7 @@ type StreamStats struct {
 	PeakBuffered int
 	// PeakInFlight is the most frames ever issued to the consumer and
 	// not yet returned via Release; for the pipeline this is bounded by
-	// its batch/queue depth.
+	// workers × (queue depth + 2) × batch size.
 	PeakInFlight int64
 }
 
@@ -97,10 +97,12 @@ func (h *frameHeap) Pop() interface{} {
 // soon as the pipeline releases them, so a soak run's steady state
 // allocates nothing per frame.
 //
-// Next and Release follow the pipeline's pooling contract: Next is
-// called from one goroutine (the router); Release may be called from
-// any worker goroutine. A consumer keeping slices into a frame's Data
-// must call Retain first, as with any pooled source.
+// Next and Release follow the pipeline's pooling contract: the
+// pipeline calls both from one goroutine (its router), which releases
+// a frame once the worker that analyzed it has handed its batch back.
+// Release is nonetheless safe from any goroutine. A consumer keeping
+// slices into a frame's Data must call Retain first, as with any pooled
+// source.
 type StreamSource struct {
 	run     *scheduleRun
 	offsets []time.Duration

@@ -193,8 +193,14 @@ func (r *Reader) readInto(p *Packet, reuse bool) error {
 		p.Data = p.Data[:n]
 	case reuse:
 		// Round the allocation up so a recycled buffer converges on the
-		// trace's largest record instead of reallocating per size class.
-		p.Data = make([]byte, n, roundUpPow2(n))
+		// trace's largest record instead of reallocating per size class,
+		// but never past the snaplen: no record of this trace can need
+		// more, and a 68-byte header trace must not hold 2 KB per packet.
+		c := roundUpPow2(n)
+		if snap := int(r.hdr.SnapLen); snap != 0 && c > snap {
+			c = snap
+		}
+		p.Data = make([]byte, n, c)
 	default:
 		p.Data = make([]byte, n)
 	}

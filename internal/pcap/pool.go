@@ -10,25 +10,38 @@ import "sync"
 //   - Put returns the packet and its buffer for reuse — unless the
 //     consumer called Retain, which permanently exempts that packet
 //     because slices into its Data have escaped into longer-lived state.
-//   - Buffers grow to the trace's largest record and then stabilize, so a
-//     steady-state read loop performs no per-packet allocation.
+//   - Buffers grow to the trace's largest record (capped at its
+//     snaplen) and then stabilize, so a steady-state read loop performs
+//     no per-packet allocation.
 //
-// A Pool is safe for concurrent use; Put may be called from any
-// goroutine, which is how pipeline workers release packets the router
-// handed them.
+// The pool is a LIFO free list: the most recently released buffer, the
+// one most likely still in cache, is handed out next. It never shrinks,
+// so it holds as many packets as were ever outstanding at once — for
+// the pipeline, the in-flight bound its router enforces. A Pool is safe
+// for concurrent use, though the pipeline calls Get and Put from one
+// goroutine: its router both reads packets and releases them when a
+// worker hands their batch back.
 type Pool struct {
-	p sync.Pool
+	mu   sync.Mutex
+	free []*Packet
 }
 
 // NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{p: sync.Pool{New: func() any { return new(Packet) }}}
-}
+func NewPool() *Pool { return &Pool{} }
 
 // Get returns a packet for reuse. Its Timestamp, Data contents, and
 // OrigLen are stale; only Data's capacity is meaningful.
 func (pl *Pool) Get() *Packet {
-	p := pl.p.Get().(*Packet)
+	pl.mu.Lock()
+	n := len(pl.free)
+	if n == 0 {
+		pl.mu.Unlock()
+		return new(Packet)
+	}
+	p := pl.free[n-1]
+	pl.free[n-1] = nil
+	pl.free = pl.free[:n-1]
+	pl.mu.Unlock()
 	p.retained = false
 	return p
 }
@@ -38,7 +51,9 @@ func (pl *Pool) Put(p *Packet) {
 	if p == nil || p.retained {
 		return
 	}
-	pl.p.Put(p)
+	pl.mu.Lock()
+	pl.free = append(pl.free, p)
+	pl.mu.Unlock()
 }
 
 // Releaser is implemented by packet sources whose packets are recycled:
@@ -83,5 +98,7 @@ func (s *PooledReader) Next() (*Packet, error) {
 }
 
 // Release implements Releaser, returning p to the pool (a no-op for
-// retained packets). Safe to call from any goroutine.
+// retained packets). Safe to call from any goroutine; the pipeline
+// calls it from its router, when a worker hands the packet's batch
+// back.
 func (s *PooledReader) Release(p *Packet) { s.pool.Put(p) }

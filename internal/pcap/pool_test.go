@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"testing"
@@ -89,11 +90,10 @@ func TestPoolRecyclesUnretained(t *testing.T) {
 	p := pool.Get()
 	p.Data = append(p.Data[:0], 1, 2, 3)
 	pool.Put(p)
-	// sync.Pool gives no recycling guarantee, but a same-goroutine
-	// Get-after-Put with no GC in between returns the same object.
+	// The free list is LIFO: Get after Put returns the same packet.
 	q := pool.Get()
 	if q != p {
-		t.Skip("pool did not recycle (GC interference); contract untestable this run")
+		t.Fatal("pool did not recycle the released packet")
 	}
 	if q.Retained() {
 		t.Error("recycled packet still marked retained")
@@ -159,6 +159,110 @@ func TestPooledReaderRetainSurvivesReuse(t *testing.T) {
 	for i, data := range kept {
 		if !bytes.Equal(data, want[i].Data) {
 			t.Errorf("retained packet %d corrupted by pool reuse", i)
+		}
+	}
+}
+
+// snapTrace serializes n packets of 40..1499 bytes under the given
+// snaplen, so records longer than the snaplen are truncated on write.
+// snaplen 0 is written into the header as is (NewWriter would turn it
+// into 65535): a header that declares no limit.
+func snapTrace(t testing.TB, snaplen uint32, n int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, snaplen, LinkTypeEthernet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		data := bytes.Repeat([]byte{byte(i)}, 40+i*37%1460)
+		if err := w.WritePacket(ts(1000+int64(i), int64(i)), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := buf.Bytes()
+	if snaplen == 0 {
+		binary.LittleEndian.PutUint32(raw[16:20], 0)
+	}
+	return raw
+}
+
+// TestPooledReaderSizesBuffersToSnaplen pins the recycled-buffer sizing:
+// a header trace's buffers are capped at its snaplen, while traces with
+// no limit (0) or the conventional 65535 keep the power-of-two sizing
+// with its 2048-byte floor.
+func TestPooledReaderSizesBuffersToSnaplen(t *testing.T) {
+	for _, tc := range []struct {
+		snaplen uint32
+		wantCap func(n int) int
+	}{
+		{68, func(int) int { return 68 }},
+		{0, func(n int) int { return roundUpPow2(n) }},
+		{65535, func(n int) int { return roundUpPow2(n) }},
+	} {
+		src := NewPooledReader(mustReader(t, snapTrace(t, tc.snaplen, 200)), nil)
+		for i := 0; ; i++ {
+			p, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each packet gets a fresh buffer: none is released.
+			if got, want := cap(p.Data), tc.wantCap(len(p.Data)); got != want {
+				t.Fatalf("snaplen %d packet %d (%d bytes): cap %d, want %d",
+					tc.snaplen, i, len(p.Data), got, want)
+			}
+		}
+	}
+	if got := roundUpPow2(100); got != 2048 {
+		t.Fatalf("roundUpPow2(100) = %d, want the 2048 floor", got)
+	}
+}
+
+// TestPoolReusedAcrossSnaplens reads a snaplen-68 trace and then a
+// snaplen-1500 trace through one shared Pool — the second trace's
+// records outgrow the first's 68-byte buffers — and checks both yield
+// the packets fresh pools do. Packets are released in bursts, so many
+// buffers cycle.
+func TestPoolReusedAcrossSnaplens(t *testing.T) {
+	traces := [][]byte{snapTrace(t, 68, 300), snapTrace(t, 1500, 300)}
+	read := func(raw []byte, pool *Pool) []Packet {
+		src := NewPooledReader(mustReader(t, raw), pool)
+		var out []Packet
+		var held []*Packet
+		for {
+			p, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, Packet{Timestamp: p.Timestamp, Data: bytes.Clone(p.Data), OrigLen: p.OrigLen})
+			if held = append(held, p); len(held) == 16 {
+				for _, h := range held {
+					src.Release(h)
+				}
+				held = held[:0]
+			}
+		}
+		for _, h := range held {
+			src.Release(h)
+		}
+		return out
+	}
+	shared := NewPool()
+	for ti, raw := range traces {
+		got, want := read(raw, shared), read(raw, nil)
+		if len(got) != len(want) {
+			t.Fatalf("trace %d: %d packets through the shared pool, %d through a fresh one", ti, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i].Data, want[i].Data) || !got[i].Timestamp.Equal(want[i].Timestamp) || got[i].OrigLen != want[i].OrigLen {
+				t.Fatalf("trace %d packet %d differs through the shared pool", ti, i)
+			}
 		}
 	}
 }

@@ -19,7 +19,6 @@ package pipeline
 import (
 	"io"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -36,8 +35,9 @@ import (
 // load harness) all satisfy it directly, and the pipeline cannot tell
 // them apart — a streamed generator run and a pcap replay of the same
 // frames produce byte-identical results. Sources that additionally
-// implement pcap.Releaser get each packet back as soon as its worker is
-// done, which is what keeps pooled sources' memory bounded; see
+// implement pcap.Releaser get each packet back from the router once the
+// worker has handed its batch back, and every packet still queued when
+// Run returns, which is what keeps pooled sources' memory bounded; see
 // DESIGN.md "Packet sources".
 type Source = pcap.PacketSource
 
@@ -89,12 +89,13 @@ type SourceError struct {
 type Sink interface {
 	// Packet is called for every successfully decoded packet routed to
 	// this shard, in global read order within the shard. conn is nil for
-	// packets with no transport flow (ARP, IPX, fragments); p is reused
-	// between calls and must not be retained. pk is the raw capture
-	// record: when the source recycles packets (pcap.Releaser), pk and
-	// any slice into pk.Data — including p.Payload — are valid only
-	// until Packet returns, unless the sink calls pk.Retain() to keep
-	// the buffer out of the pool.
+	// packets with no transport flow (ARP, IPX, fragments); the call in
+	// which conn.Packets() == 1 is the one whose packet created it. p is
+	// reused between calls and must not be retained. pk is the raw
+	// capture record: when the source recycles packets (pcap.Releaser),
+	// pk and any slice into pk.Data — including p.Payload — are valid
+	// only until Packet returns, unless the sink calls pk.Retain() to
+	// keep the buffer out of the pool.
 	Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir)
 	// Undecodable is called for packets layers.Decode rejects.
 	Undecodable(idx int64)
@@ -166,11 +167,11 @@ type Result struct {
 
 // SortedConns merges every shard's connections into first-packet order.
 // The order is identical for any worker count. Each shard's list is
-// already sorted (worker.finish sorts in parallel before the workers
-// join), so this is a k-way merge of sorted runs — a loser tree, not
-// the O(n·k) head scan this used to be: the merge runs on the serial
-// path after the workers join, so its cost is Amdahl residue that used
-// to grow with the worker count. FirstIdx values are unique global
+// already sorted (a worker records each connection as its table creates
+// it, and a shard sees its packets in read order), so this is a k-way
+// merge of sorted runs — a loser tree, not the O(n·k) head scan this
+// used to be: the merge runs on the serial path after the workers join,
+// so its cost is Amdahl residue that used to grow with the worker count. FirstIdx values are unique global
 // packet indices, so the merge order is total.
 func (r *Result) SortedConns() []ConnRecord {
 	runs := make([][]ConnRecord, 0, len(r.Shards))
@@ -186,27 +187,28 @@ type item struct {
 	p   *pcap.Packet
 }
 
-// worker owns one shard: a connection table, the caller's sink, and the
-// first-packet index of every connection it has seen.
+// worker owns one shard: a connection table, the caller's sink, and a
+// record of every connection its table has created, in creation order.
 type worker struct {
-	shard    int
-	tbl      *flows.Table
-	sink     Sink
-	firstIdx map[*flows.Conn]int64
-	pkt      layers.Packet
-	in       chan []item
-	// release recycles a packet once the worker is done with it; nil
-	// when the source does not pool packets.
-	release func(*pcap.Packet)
-	// batches takes emptied batch slices back for the router to refill.
+	shard int
+	tbl   *flows.Table
+	sink  Sink
+	// recs is in FirstIdx order: the shard's packets arrive in read
+	// order, and a connection's record is appended at its first packet.
+	// A connection the table splits (timeout, idle horizon, MaxConns
+	// eviction) is recreated as a new Conn and gets its own record.
+	recs []ConnRecord
+	pkt  layers.Packet
+	in   chan []item
+	// batches takes drained batches back for the router to release and
+	// refill. Workers never release packets themselves.
 	batches *batchPool
 }
 
 func newWorker(shard int, cfg Config, base time.Time) *worker {
 	w := &worker{
-		shard:    shard,
-		tbl:      flows.NewTable(cfg.Flows),
-		firstIdx: make(map[*flows.Conn]int64),
+		shard: shard,
+		tbl:   flows.NewTable(cfg.Flows),
 	}
 	if cfg.NewSink != nil {
 		w.sink = cfg.NewSink(shard, base)
@@ -223,10 +225,8 @@ func (w *worker) process(it item) {
 		return
 	}
 	conn, dir := w.tbl.Packet(pk.Timestamp, &w.pkt, pk.OrigLen)
-	if conn != nil {
-		if _, seen := w.firstIdx[conn]; !seen {
-			w.firstIdx[conn] = it.idx
-		}
+	if conn != nil && conn.Packets() == 1 {
+		w.recs = append(w.recs, ConnRecord{Conn: conn, FirstIdx: it.idx, Shard: w.shard})
 	}
 	if w.sink != nil {
 		w.sink.Packet(it.idx, pk, &w.pkt, conn, dir)
@@ -237,13 +237,8 @@ func (w *worker) drain() {
 	for batch := range w.in {
 		for _, it := range batch {
 			w.process(it)
-			if w.release != nil {
-				w.release(it.p)
-			}
 		}
-		if w.batches != nil {
-			w.batches.put(batch)
-		}
+		w.batches.put(batch)
 	}
 }
 
@@ -251,35 +246,67 @@ func (w *worker) drain() {
 // between the router (get/refill) and the workers (put after drain). A
 // plain buffered channel keeps it allocation-free in steady state and
 // safe across goroutines; when the list runs dry the router falls back
-// to allocating, so it can never deadlock.
+// to allocating.
+//
+// The pool is also where pooled sources get their packets back. A
+// worker puts a batch back whole, packets included, and the router
+// releases them when it takes the batch out again (get) or when Run
+// ends (drain). Release thus runs on one goroutine, once per packet,
+// and only after the worker's last touch of the batch: the channel
+// send in put orders that before the router's receive.
 type batchPool struct {
 	free      chan []item
 	batchSize int
+	// release recycles a packet; nil when the source does not pool.
+	release func(*pcap.Packet)
 }
 
-func newBatchPool(workers, batchSize int) *batchPool {
-	// Capacity covers every batch that can be in flight at once: per
-	// worker, the channel buffer plus one being drained plus one being
-	// filled by the router.
+func newBatchPool(workers, batchSize int, release func(*pcap.Packet)) *batchPool {
+	// Capacity covers every batch that can exist at once. The router
+	// allocates only when the list is empty, so every batch ever made
+	// is in flight or free, and at most workerQueueDepth+2 per worker
+	// are in flight: the channel buffer, one being drained and one
+	// being filled by the router. put therefore never blocks.
 	return &batchPool{
 		free:      make(chan []item, workers*(workerQueueDepth+2)),
 		batchSize: batchSize,
+		release:   release,
 	}
 }
 
 func (p *batchPool) get() []item {
 	select {
 	case b := <-p.free:
+		p.recycle(b)
 		return b[:0]
 	default:
 		return make([]item, 0, p.batchSize)
 	}
 }
 
-func (p *batchPool) put(b []item) {
-	select {
-	case p.free <- b:
-	default:
+func (p *batchPool) put(b []item) { p.free <- b }
+
+// recycle releases the packets of a batch a worker has drained.
+func (p *batchPool) recycle(b []item) {
+	if p.release == nil {
+		return
+	}
+	for _, it := range b {
+		p.release(it.p)
+	}
+}
+
+// drain releases the packets of every batch still on the list. The
+// router calls it after all workers have exited, so no batch is in
+// flight and every routed packet not yet released is on the list.
+func (p *batchPool) drain() {
+	for {
+		select {
+		case b := <-p.free:
+			p.recycle(b)
+		default:
+			return
+		}
 	}
 }
 
@@ -288,15 +315,7 @@ const workerQueueDepth = 4
 
 func (w *worker) finish() ShardResult {
 	w.tbl.Flush()
-	conns := w.tbl.Conns()
-	recs := make([]ConnRecord, len(conns))
-	for i, c := range conns {
-		recs[i] = ConnRecord{Conn: c, FirstIdx: w.firstIdx[c], Shard: w.shard}
-	}
-	// Sort on the worker, in parallel across shards: SortedConns then
-	// only k-way merges the per-shard runs on the serial path.
-	sort.Slice(recs, func(i, j int) bool { return recs[i].FirstIdx < recs[j].FirstIdx })
-	return ShardResult{Shard: w.shard, Sink: w.sink, Conns: recs}
+	return ShardResult{Shard: w.shard, Sink: w.sink, Conns: w.recs}
 }
 
 // sourceReader wraps a source's Next with the error policy and the
@@ -387,7 +406,7 @@ func Run(src Source, cfg Config) (*Result, error) {
 	base := first.Timestamp
 	res.Base = base
 
-	// Pooled sources get their packets back as soon as a worker is done
+	// Pooled sources get their packets back once the worker is done
 	// with them; sinks keep buffers alive across that boundary by
 	// calling Retain.
 	var release func(*pcap.Packet)
@@ -399,12 +418,11 @@ func Run(src Source, cfg Config) (*Result, error) {
 		return runSerial(rdr, first, cfg, res, release)
 	}
 
-	batches := newBatchPool(workers, batchSize)
+	batches := newBatchPool(workers, batchSize, release)
 	ws := make([]*worker, workers)
 	for i := 0; i < workers; i++ {
 		ws[i] = newWorker(i, cfg, base)
 		ws[i].in = make(chan []item, workerQueueDepth)
-		ws[i].release = release
 		ws[i].batches = batches
 	}
 	done := make(chan int, workers)
@@ -444,12 +462,15 @@ func Run(src Source, cfg Config) (*Result, error) {
 	}
 	res.Packets = idx
 	for s := range ws {
-		flush(s)
+		if len(pending[s]) > 0 {
+			ws[s].in <- pending[s]
+		}
 		close(ws[s].in)
 	}
 	for range ws {
 		<-done
 	}
+	batches.drain()
 	for _, w := range ws {
 		res.Shards = append(res.Shards, w.finish())
 		res.CapEvicted += w.tbl.CapEvicted()
