@@ -11,32 +11,17 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"enttrace/internal/cli"
 	"enttrace/internal/enterprise"
 	"enttrace/internal/gen"
 )
 
-// usageError marks a bad invocation; main exits 2 for it (like flag
-// parse failures) and 1 for runtime errors.
-type usageError struct{ msg string }
-
-func (e *usageError) Error() string { return e.msg }
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		var ue *usageError
-		if errors.As(err, &ue) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
 	dataset := flag.String("dataset", "D0", "dataset name (D0..D4)")
@@ -61,15 +46,9 @@ func run() error {
 		return nil
 	}
 
-	var cfg enterprise.Config
-	found := false
-	for _, c := range enterprise.AllDatasets() {
-		if c.Name == *dataset {
-			cfg, found = c, true
-		}
-	}
+	cfg, found := enterprise.DatasetByName(*dataset)
 	if !found {
-		return &usageError{msg: fmt.Sprintf("unknown dataset %q", *dataset)}
+		return cli.Usagef("unknown dataset %q", *dataset)
 	}
 	cfg.Scale = *scale
 	if *subnets > 0 && *subnets < len(cfg.Monitored) {
@@ -83,7 +62,7 @@ func run() error {
 		if *evasion != "all" {
 			sc, ok := gen.EvasionScenarioByName(*evasion)
 			if !ok {
-				return &usageError{msg: fmt.Sprintf("unknown evasion scenario %q (try -evasion list)", *evasion)}
+				return cli.Usagef("unknown evasion scenario %q (try -evasion list)", *evasion)
 			}
 			scenarios = []gen.EvasionScenario{sc}
 		}
@@ -111,15 +90,9 @@ func run() error {
 		return nil
 	}
 	if *schedule != "" {
-		sched := gen.DefaultSchedule()
-		if *schedule != "default" {
-			var err error
-			if sched, err = gen.ParseSchedule(*schedule); err != nil {
-				return &usageError{msg: err.Error()}
-			}
-		}
-		if *duration > 0 {
-			sched = sched.Repeat(*duration)
+		sched, err := cli.ParseSchedule(*schedule, *duration)
+		if err != nil {
+			return err
 		}
 		subnet := cfg.Monitored[0]
 		name := fmt.Sprintf("%s-scheduled-subnet%02d.pcap", cfg.Name, subnet)
@@ -131,12 +104,7 @@ func run() error {
 		// Stream the frames straight to disk: a soak-length schedule never
 		// materializes in memory, and the file is byte-identical to the
 		// materialized path.
-		src := gen.NewStreamSource(gen.StreamConfig{
-			Network:  enterprise.NewNetwork(cfg),
-			Subnet:   subnet,
-			Schedule: sched,
-			Snaplen:  cfg.Snaplen,
-		})
+		src := gen.NewStreamSource(gen.SubnetStream(cfg, sched))
 		n, err := gen.WriteStream(f, cfg.Snaplen, src)
 		if err != nil {
 			f.Close()

@@ -11,37 +11,20 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
+	"enttrace/internal/cli"
 	"enttrace/internal/core"
 	"enttrace/internal/enterprise"
-	"enttrace/internal/faults"
 	"enttrace/internal/gen"
 	"enttrace/internal/pcap"
-	"enttrace/internal/pipeline"
 )
 
-// usageError marks a bad invocation; main exits 2 for it (like flag
-// parse failures) and 1 for runtime errors.
-type usageError struct{ msg string }
-
-func (e *usageError) Error() string { return e.msg }
-
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		var ue *usageError
-		if errors.As(err, &ue) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-}
+func main() { cli.Main(run) }
 
 func run() error {
 	scale := flag.Float64("scale", 1.0, "workload scale factor (volume knob)")
@@ -51,53 +34,24 @@ func run() error {
 	workers := flag.Int("workers", 0, "pipeline shard workers (0 = GOMAXPROCS); results are identical for any count")
 	replayWorkers := flag.Int("replay-workers", 0, "application-replay workers (0 = GOMAXPROCS); results are identical for any count")
 	window := flag.Duration("window", 0, "cut per-window reports at this interval in packet time (0 = whole-run report only)")
-	format := flag.String("format", "text", "report output format: text or json")
 	schedule := flag.String("schedule", "",
 		`analyze a time-structured schedule streamed straight from the generator (no trace `+
 			`materialized) instead of the tap rotation: phase spec or "default"`)
 	duration := flag.Duration("duration", 0, "with -schedule, tile the schedule to at least this length")
-	onError := flag.String("on-error", "fail",
-		`source read-error policy: "fail" aborts on the first error (default); "skip" degrades `+
-			`and continues — poisoned records are dropped and the report carries a SourceError census`)
-	inject := flag.String("inject", "",
-		`deterministic fault injection against every source: "kind@index[:arg],..." with kinds `+
-			`read@N, short@N:cut, stall@N:dur, torn@N, eof@N — or "rand:seed:count:span"; pair with `+
-			`-on-error skip to exercise degraded runs (the census is checked against the manifest)`)
+	parseRun := cli.RunFlags()
 	flag.Parse()
-	if *format != "text" && *format != "json" {
-		return &usageError{msg: fmt.Sprintf("unknown -format %q (want text or json)", *format)}
-	}
-	var policy pipeline.ErrorPolicy
-	switch *onError {
-	case "fail":
-		policy = pipeline.FailFast
-	case "skip":
-		policy = pipeline.Degrade
-	default:
-		return &usageError{msg: fmt.Sprintf("unknown -on-error %q (want fail or skip)", *onError)}
-	}
-	var injectSched faults.Schedule
-	if *inject != "" {
-		var err error
-		if injectSched, err = faults.ParseSpec(*inject); err != nil {
-			return &usageError{msg: err.Error()}
-		}
+	out, err := parseRun()
+	if err != nil {
+		return err
 	}
 
 	var sched gen.Schedule
 	if *schedule != "" {
-		sched = gen.DefaultSchedule()
-		if *schedule != "default" {
-			var err error
-			if sched, err = gen.ParseSchedule(*schedule); err != nil {
-				return &usageError{msg: err.Error()}
-			}
-		}
-		if *duration > 0 {
-			sched = sched.Repeat(*duration)
+		if sched, err = cli.ParseSchedule(*schedule, *duration); err != nil {
+			return err
 		}
 	} else if *duration > 0 {
-		return &usageError{msg: "-duration requires -schedule"}
+		return cli.Usagef("-duration requires -schedule")
 	}
 
 	want := make(map[string]bool)
@@ -119,22 +73,14 @@ func run() error {
 			Workers:         *workers,
 			ReplayWorkers:   *replayWorkers,
 			Window:          *window,
-			OnError:         policy,
+			OnError:         out.Policy,
 		})
-		// wrapSource interposes the fault injector (when -inject is set);
-		// both ingest modes route through it — dataset traces via a slice
-		// source — so a degraded rotation and a degraded stream exercise
-		// the same seam. Injectors are per-dataset: each report's census
-		// is checked against exactly the faults fired into it.
-		var injectors []*faults.Source
-		wrapSource := func(src pcap.PacketSource) pcap.PacketSource {
-			if *inject == "" {
-				return src
-			}
-			fs := faults.Wrap(src, injectSched)
-			injectors = append(injectors, fs)
-			return fs
-		}
+		// Both ingest modes route through the fault injector — dataset
+		// traces via a slice source — so a degraded rotation and a
+		// degraded stream exercise the same seam. Injectors are
+		// per-dataset: each report's census is checked against exactly
+		// the faults fired into it.
+		inj := out.Injector()
 		var genDur time.Duration
 		var totalPkts int64
 		start := time.Now()
@@ -142,14 +88,9 @@ func run() error {
 			// Streamed mode: frames go straight from the generator into
 			// the pipeline, so generation and analysis share the clock.
 			subnet := cfg.Monitored[0]
-			src := gen.NewStreamSource(gen.StreamConfig{
-				Network:  enterprise.NewNetwork(cfg),
-				Subnet:   subnet,
-				Schedule: sched,
-				Snaplen:  cfg.Snaplen,
-			})
+			src := gen.NewStreamSource(gen.SubnetStream(cfg, sched))
 			name := fmt.Sprintf("%s/subnet%d/scheduled", cfg.Name, subnet)
-			if err := a.AddTraceSource(name, enterprise.SubnetPrefix(subnet), wrapSource(src)); err != nil {
+			if err := a.AddTraceSource(name, enterprise.SubnetPrefix(subnet), inj.Wrap(src)); err != nil {
 				return fmt.Errorf("analyze %s: %w", cfg.Name, err)
 			}
 			totalPkts = src.Stats().Frames
@@ -160,28 +101,18 @@ func run() error {
 			start = time.Now()
 			for _, tr := range ds.Traces {
 				name := fmt.Sprintf("%s/subnet%d/tap%d", cfg.Name, tr.Subnet, tr.Tap)
-				src := wrapSource(pcap.NewSliceSource(tr.Packets))
+				src := inj.Wrap(pcap.NewSliceSource(tr.Packets))
 				if err := a.AddTraceSource(name, tr.Prefix, src); err != nil {
 					return fmt.Errorf("analyze %s: %w", cfg.Name, err)
 				}
 			}
 		}
 		r := a.Report()
-		if len(injectors) > 0 && policy == pipeline.Degrade {
-			if err := checkCensus(r, injectors); err != nil {
-				return err
-			}
+		if err := inj.CheckCensus(r); err != nil {
+			return err
 		}
-		windows := a.WindowReports()
-		if *format == "json" {
-			if err := core.WriteRunJSON(os.Stdout, windows, r); err != nil {
-				return fmt.Errorf("json report: %w", err)
-			}
-		} else {
-			if len(windows) > 0 {
-				fmt.Print(core.RenderWindowSummary(windows) + "\n")
-			}
-			fmt.Print(core.RenderText(r))
+		if err := out.WriteReport(os.Stdout, a.WindowReports(), r); err != nil {
+			return fmt.Errorf("report output: %w", err)
 		}
 		if *figdir != "" {
 			if err := core.WriteFigureData(*figdir, r); err != nil {
@@ -191,7 +122,7 @@ func run() error {
 		// Telemetry goes to stdout in text mode (as always) but must not
 		// corrupt the machine-readable stream in json mode.
 		dst := os.Stdout
-		if *format == "json" {
+		if out.JSON {
 			dst = os.Stderr
 		}
 		if *schedule != "" {
@@ -202,42 +133,5 @@ func run() error {
 				cfg.Name, totalPkts, genDur.Seconds(), time.Since(start).Seconds())
 		}
 	}
-	return nil
-}
-
-// checkCensus verifies the report's SourceError census against what the
-// injectors actually fired; the match line is stable for CI to grep.
-func checkCensus(r *core.Report, injectors []*faults.Source) error {
-	exp := faults.Expected{ByKind: make(map[string]int64)}
-	for _, fs := range injectors {
-		e := fs.Expected()
-		exp.Errors += e.Errors
-		exp.LostBytes += e.LostBytes
-		for k, n := range e.ByKind {
-			exp.ByKind[k] += n
-		}
-	}
-	got := r.SourceErrors
-	ok := got.Errors == exp.Errors && got.LostBytes == exp.LostBytes
-	if ok {
-		for k, n := range exp.ByKind {
-			if got.ByKind[k] != n {
-				ok = false
-				break
-			}
-		}
-		for k := range got.ByKind {
-			if _, want := exp.ByKind[k]; !want {
-				ok = false
-				break
-			}
-		}
-	}
-	if !ok {
-		return fmt.Errorf("fault census: report (%d errors, %d bytes lost) does not match injected manifest (%d errors, %d bytes lost)",
-			got.Errors, got.LostBytes, exp.Errors, exp.LostBytes)
-	}
-	fmt.Fprintf(os.Stderr, "fault census: report matches injected manifest (%d errors, %d bytes lost)\n",
-		exp.Errors, exp.LostBytes)
 	return nil
 }

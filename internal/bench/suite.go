@@ -63,13 +63,8 @@ func suiteDatasetScaled(name string, scale float64) *gen.Dataset {
 	if ds, ok := dsCache[key]; ok {
 		return ds
 	}
-	var cfg enterprise.Config
-	for _, c := range enterprise.AllDatasets() {
-		if c.Name == name {
-			cfg = c
-		}
-	}
-	if cfg.Name == "" {
+	cfg, ok := enterprise.DatasetByName(name)
+	if !ok {
 		panic("bench: unknown dataset " + name)
 	}
 	cfg.Scale = scale
@@ -346,12 +341,7 @@ func Suite() []Benchmark {
 				b.ResetTimer()
 				var pkts int64
 				for i := 0; i < b.N; i++ {
-					src := gen.NewStreamSource(gen.StreamConfig{
-						Network:  enterprise.NewNetwork(cfg),
-						Subnet:   subnet,
-						Schedule: sched,
-						Snaplen:  cfg.Snaplen,
-					})
+					src := gen.NewStreamSource(gen.SubnetStream(cfg, sched))
 					a := core.NewAnalyzer(core.Options{
 						Dataset:         cfg.Name,
 						KnownScanners:   enterprise.KnownScanners(),

@@ -250,7 +250,7 @@ func (a *Analyzer) AddTraceReader(name string, monitored netip.Prefix, r io.Read
 
 // AddTraceSource runs one trace from an arbitrary packet source through
 // the pipeline — this is the analyzer's ingest seam. A source can be a
-// pcap.Merger over several taps, a replayed file, or a gen.StreamSource
+// replayed or memory-mapped file, an in-memory trace, or a gen.StreamSource
 // synthesizing frames on the fly (the soak-mode load harness): the
 // analysis below the seam is source-blind, so a streamed schedule and a
 // pcap round-trip of the same frames report byte-identically. If src
@@ -541,17 +541,6 @@ func (a *Analyzer) accumulateConn(ca *connAggregates, c *flows.Conn, cat string)
 		bs.Ent += c.PayloadBytes()
 		cs.Ent++
 	}
-}
-
-// AddDataset is a convenience that runs every trace of a generated
-// dataset through the analyzer.
-func (a *Analyzer) AddDataset(traces []TraceInput) error {
-	for _, tr := range traces {
-		if err := a.AddTrace(tr); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // connLocality reports whether a connection crosses the enterprise border.

@@ -346,11 +346,7 @@ func fmtOrigin(t time.Time) string {
 }
 
 // Windowing reports whether the fleet cuts windowed reports.
-func (f *Fleet) Windowing() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.window > 0
-}
+func (f *Fleet) Windowing() bool { return f.WindowDuration() > 0 }
 
 // WindowDuration returns the fleet's window length (0 for batch fleets
 // or before the first site's Hello fixes the config).
@@ -360,9 +356,9 @@ func (f *Fleet) WindowDuration() time.Duration {
 	return f.window
 }
 
-// MaxWindow returns the highest window index any site has delivered,
-// declared lost, or finned through (-1 before any data).
-func (f *Fleet) MaxWindow() int {
+// LatestWindowIndex returns the highest window index any site has
+// delivered, declared lost, or finned through (-1 before any data).
+func (f *Fleet) LatestWindowIndex() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.maxWindowLocked()
@@ -489,7 +485,7 @@ func (f *Fleet) WindowReport(n int) (*WindowReport, bool) {
 	return f.windowReportLocked(n), true
 }
 
-// WindowReports builds every fleet window report, 0..MaxWindow (nil
+// WindowReports builds every fleet window report, 0..LatestWindowIndex (nil
 // when the fleet is not windowed).
 func (f *Fleet) WindowReports() []*WindowReport {
 	f.mu.Lock()
@@ -532,7 +528,7 @@ type FleetStatus struct {
 	// FinalReady: every known site finned, every expected site present
 	// and finned, and at least one site reported.
 	FinalReady bool
-	// Windows is the fleet's window horizon (MaxWindow+1); LostWindows
+	// Windows is the fleet's window horizon (LatestWindowIndex+1); LostWindows
 	// counts census-lost windows across sites.
 	Windows     int
 	LostWindows int

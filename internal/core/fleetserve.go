@@ -2,65 +2,31 @@ package core
 
 import (
 	"net/http"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"time"
 )
 
-// FleetServer exposes a fleet aggregation over HTTP, mirroring
-// ReportServer's surface so fleet-wide reports are drop-in for
-// single-instance consumers:
+// FleetServer is the ReportServer over a fleet aggregation, so
+// fleet-wide reports are drop-in for single-instance consumers.
+type FleetServer = ReportServer
+
+// NewFleetServer returns a server over f (the handlers use only the
+// Fleet's concurrency-safe accessors). Window endpoints serve whatever
+// snapshots have been delivered so far, /report/latest the highest
+// window any site has reached, and /report/final the merged cumulative
+// report once every site has finned. Two endpoints are the fleet's own:
 //
 //	GET /healthz            — fleet liveness: per-site delivery state,
-//	                          lag, and degradation counts
-//	GET /report/latest      — the highest merged window, JSON
-//	GET /report/window/<n>  — fleet-wide window n (0-based), JSON
+//	                          lag, and degradation counts; a site silent
+//	                          past the stall threshold is named stale
 //	GET /report/fleet       — the current merged cumulative report,
 //	                          served any time (carries the degradation
 //	                          census while sites are missing data)
-//	GET /report/final       — the merged cumulative report, once every
-//	                          site has finned (404 before that)
-//
-// Window endpoints are live views over whatever snapshots have been
-// delivered so far; they require a windowed fleet.
-type FleetServer struct {
-	f   *Fleet
-	mux *http.ServeMux
-
-	// staleAfter is how long a non-finned site may go without delivering
-	// a frame before /healthz names it stale; now is the wall-clock seam
-	// for that age (tests pin it).
-	staleAfter time.Duration
-	now        func() time.Time
-
-	draining atomic.Bool
-}
-
-// NewFleetServer returns a server over f (the handlers use only the
-// Fleet's concurrency-safe accessors).
 func NewFleetServer(f *Fleet) *FleetServer {
-	s := &FleetServer{f: f, mux: http.NewServeMux(), staleAfter: DefaultStallThreshold, now: time.Now}
-	s.mux.HandleFunc("/healthz", s.healthz)
-	s.mux.HandleFunc("/report/latest", s.latest)
-	s.mux.HandleFunc("/report/window/", s.window)
-	s.mux.HandleFunc("/report/fleet", s.fleet)
-	s.mux.HandleFunc("/report/final", s.final)
+	s := newReportServer(f)
+	s.mux.HandleFunc("/report/fleet", func(w http.ResponseWriter, req *http.Request) {
+		serveReport(w, f.Report())
+	})
 	return s
-}
-
-// SetStaleThreshold overrides how long a silent site is tolerated before
-// /healthz degrades; d <= 0 disables staleness tracking. Call before
-// serving.
-func (s *FleetServer) SetStaleThreshold(d time.Duration) { s.staleAfter = d }
-
-// SetDraining marks a graceful shutdown in progress: lag and staleness
-// reporting is suppressed (sites are expected to stop delivering).
-func (s *FleetServer) SetDraining(v bool) { s.draining.Store(v) }
-
-// ServeHTTP implements http.Handler.
-func (s *FleetServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	s.mux.ServeHTTP(w, req)
 }
 
 // fleetHealth is the /healthz document. Lag fields (StaleSites,
@@ -71,7 +37,7 @@ func (s *FleetServer) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 type fleetHealth struct {
 	// Status is "ok", or "degraded" when windows are census-lost, an
 	// expected site never reported, or a live site has gone silent past
-	// the stale threshold.
+	// the stall threshold.
 	Status         string
 	Sites          int
 	ConnectedSites int
@@ -107,20 +73,20 @@ type fleetSiteHealth struct {
 	LastDeliveryAgeSeconds float64 `json:",omitempty"`
 }
 
-func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
-	st := s.f.Status()
+func (f *Fleet) health(s *ReportServer) any {
+	st := f.Status()
 	h := fleetHealth{
 		Status:       "ok",
 		Sites:        len(st.Sites),
 		MissingSites: st.MissingSites,
-		Windowing:    s.f.Windowing(),
+		Windowing:    f.Windowing(),
 		Windows:      st.Windows,
 		LostWindows:  st.LostWindows,
 		FinalReady:   st.FinalReady,
 		Draining:     s.draining.Load(),
 	}
 	if h.Windowing {
-		h.WindowDur = s.f.WindowDuration().String()
+		h.WindowDur = f.WindowDuration().String()
 	}
 	quiet := h.FinalReady || h.Draining
 	now := s.now()
@@ -144,7 +110,7 @@ func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 		if !quiet && !row.Fin && !row.LastDelivery.IsZero() {
 			age := now.Sub(row.LastDelivery)
 			sh.LastDeliveryAgeSeconds = age.Seconds()
-			if s.staleAfter > 0 && age > s.staleAfter {
+			if s.stallAfter > 0 && age > s.stallAfter {
 				h.StaleSites = append(h.StaleSites, row.Site)
 			}
 		}
@@ -156,69 +122,15 @@ func (s *FleetServer) healthz(w http.ResponseWriter, req *http.Request) {
 	if h.LostWindows > 0 || len(h.MissingSites) > 0 || len(h.StaleSites) > 0 {
 		h.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, h)
+	return h
 }
 
-func (s *FleetServer) latest(w http.ResponseWriter, req *http.Request) {
-	if !s.f.Windowing() {
-		httpError(w, http.StatusNotFound, "fleet is not windowed")
-		return
-	}
-	n := s.f.MaxWindow()
-	if n < 0 {
-		httpError(w, http.StatusNotFound, "no window delivered yet")
-		return
-	}
-	s.serveWindow(w, n)
-}
-
-func (s *FleetServer) window(w http.ResponseWriter, req *http.Request) {
-	if !s.f.Windowing() {
-		httpError(w, http.StatusNotFound, "fleet is not windowed")
-		return
-	}
-	raw := strings.TrimPrefix(req.URL.Path, "/report/window/")
-	n, err := strconv.Atoi(raw)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "window index must be an integer")
-		return
-	}
-	s.serveWindow(w, n)
-}
-
-func (s *FleetServer) serveWindow(w http.ResponseWriter, n int) {
-	wr, ok := s.f.WindowReport(n)
-	if !ok {
-		httpError(w, http.StatusNotFound, "no such window")
-		return
-	}
-	s.serveReport(w, wr.Report)
-}
-
-// fleet serves the current merged cumulative, whatever its completeness;
-// the Fleet section names what is missing while the fleet is partial.
-func (s *FleetServer) fleet(w http.ResponseWriter, req *http.Request) {
-	s.serveReport(w, s.f.Report())
-}
-
-// final gates on fleet completeness: it serves exactly what
-// /report/fleet would, but only once every site has finned — the moment
+// finalReport gates on fleet completeness: it is exactly what
+// /report/fleet serves, but only once every site has finned — the moment
 // the merged report stops changing.
-func (s *FleetServer) final(w http.ResponseWriter, req *http.Request) {
-	if !s.f.Status().FinalReady {
-		httpError(w, http.StatusNotFound, "fleet incomplete: sites still reporting")
-		return
+func (f *Fleet) finalReport() (*Report, bool) {
+	if !f.Status().FinalReady {
+		return nil, false
 	}
-	s.serveReport(w, s.f.Report())
-}
-
-func (s *FleetServer) serveReport(w http.ResponseWriter, r *Report) {
-	b, err := MarshalReport(r)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(b, '\n'))
+	return f.Report(), true
 }

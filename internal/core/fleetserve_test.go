@@ -59,7 +59,7 @@ func fleetSiteAnalyzer(t *testing.T, seed int64, offsets ...time.Duration) *Anal
 func TestFleetServeLifecycle(t *testing.T) {
 	f := NewFleet(FleetConfig{Dataset: "win", ExpectSites: []string{"east", "west"}})
 	srv := NewFleetServer(f)
-	srv.SetStaleThreshold(0) // liveness ages are exercised separately
+	srv.SetStallThreshold(0) // liveness ages are exercised separately
 
 	// Before any site connects: both expected sites missing, nothing
 	// windowed, no final.
@@ -184,7 +184,7 @@ func TestFleetServeStaleAndDraining(t *testing.T) {
 	srv := NewFleetServer(f)
 	now := t0
 	srv.now = func() time.Time { return now }
-	srv.SetStaleThreshold(10 * time.Second)
+	srv.SetStallThreshold(10 * time.Second)
 
 	east := fleetSiteAnalyzer(t, 1, 0, 70*time.Second)
 	exports, err := east.ExportAll()

@@ -10,55 +10,88 @@ import (
 	"time"
 )
 
-// ReportServer exposes a long-running analysis over HTTP:
+// ReportServer exposes a long-running analysis — one Analyzer, or a
+// fleet aggregation — over HTTP:
 //
-//	GET /healthz            — liveness plus progress (packets, watermark,
-//	                          window counts)
-//	GET /report/latest      — the most recently completed window, JSON
+//	GET /healthz            — liveness plus progress; the document is the
+//	                          source's own (see NewReportServer and
+//	                          NewFleetServer)
+//	GET /report/latest      — the most recent window, JSON
 //	GET /report/window/<n>  — window n (0-based), JSON
-//	GET /report/final       — the cumulative report, once analysis ends
+//	GET /report/final       — the cumulative report, once it stops
+//	                          changing (404 before that)
 //
-// Window endpoints are live views: they reflect everything banked so
-// far, while analysis is still streaming. They require the analyzer to
-// be windowed (Options.Window > 0); without windowing only /healthz and
-// /report/final respond.
+// Window endpoints are live views: they reflect everything banked or
+// delivered so far, while analysis is still streaming. They require a
+// windowed source; without windowing only /healthz and /report/final
+// respond.
 type ReportServer struct {
-	a   *Analyzer
+	src reportSource
 	mux *http.ServeMux
 
 	// finalJSON is written once by SetFinal (on the analysis goroutine)
 	// and read by handlers; atomic, since the two race by design.
 	finalJSON atomic.Pointer[[]byte]
+	draining  atomic.Bool
 
-	// Stall detection: /healthz tracks a progress signature (packets
-	// seen, watermark) and reports the server degraded once it stops
-	// advancing for stallAfter of wall time — a stuck source looks
+	// stallAfter is how long /healthz lets progress sit still — an
+	// analyzer's (packets, watermark) signature, a fleet site's
+	// deliveries — before reporting degraded: a stuck source looks
 	// healthy to every other probe, since the process itself is fine.
+	// now is the wall-clock seam for those ages (tests pin it).
+	stallAfter time.Duration
+	now        func() time.Time
+
+	// Analyzer progress signature, tracked by stallAge.
 	mu          sync.Mutex
-	stallAfter  time.Duration
 	lastPackets int64
 	lastMark    time.Time
 	lastAdvance time.Time
 }
 
-// DefaultStallThreshold is how long /healthz lets the progress
-// signature sit still before reporting the run degraded.
+// reportSource is what a ReportServer serves: *Analyzer or *Fleet. Every
+// method must be safe for concurrent use with ingest.
+type reportSource interface {
+	Windowing() bool
+	// LatestWindowIndex is the window /report/latest serves (-1 if none).
+	LatestWindowIndex() int
+	WindowReport(n int) (*WindowReport, bool)
+	// finalReport returns the cumulative report once it is complete; a
+	// source without its own notion of completion returns false and
+	// relies on SetFinal.
+	finalReport() (*Report, bool)
+	// health builds the source's /healthz document.
+	health(s *ReportServer) any
+}
+
+// DefaultStallThreshold is how long /healthz lets progress sit still
+// before reporting the run degraded.
 const DefaultStallThreshold = 30 * time.Second
 
-// SetStallThreshold overrides the watermark-stall threshold; d <= 0
-// disables stall detection. Call before serving.
-func (s *ReportServer) SetStallThreshold(d time.Duration) { s.stallAfter = d }
-
-// NewReportServer returns a server over a (the handlers use only the
-// Analyzer's concurrency-safe accessors).
-func NewReportServer(a *Analyzer) *ReportServer {
-	s := &ReportServer{a: a, mux: http.NewServeMux(), stallAfter: DefaultStallThreshold}
+func newReportServer(src reportSource) *ReportServer {
+	s := &ReportServer{src: src, mux: http.NewServeMux(), stallAfter: DefaultStallThreshold, now: time.Now}
 	s.mux.HandleFunc("/healthz", s.healthz)
 	s.mux.HandleFunc("/report/latest", s.latest)
 	s.mux.HandleFunc("/report/window/", s.window)
 	s.mux.HandleFunc("/report/final", s.final)
 	return s
 }
+
+// NewReportServer returns a server over a (the handlers use only the
+// Analyzer's concurrency-safe accessors). Its /healthz reports packets
+// seen, the watermark and window counts, and degrades once the run has
+// folded source errors or its progress has stalled; /report/final
+// serves what SetFinal published.
+func NewReportServer(a *Analyzer) *ReportServer { return newReportServer(a) }
+
+// SetStallThreshold overrides how long progress may stall before
+// /healthz degrades; d <= 0 disables stall detection. Call before
+// serving.
+func (s *ReportServer) SetStallThreshold(d time.Duration) { s.stallAfter = d }
+
+// SetDraining marks a graceful shutdown in progress: stall and lag
+// reporting is suppressed, since the source is expected to stop.
+func (s *ReportServer) SetDraining(v bool) { s.draining.Store(v) }
 
 // SetFinal publishes the cumulative report. Call it from the analysis
 // goroutine after the last trace; handlers serve 404 on /report/final
@@ -108,7 +141,7 @@ func (s *ReportServer) stallAge(packets int64, mark time.Time) time.Duration {
 	if s.stallAfter <= 0 {
 		return 0
 	}
-	now := time.Now()
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lastAdvance.IsZero() || packets != s.lastPackets || !mark.Equal(s.lastMark) {
@@ -118,21 +151,21 @@ func (s *ReportServer) stallAge(packets int64, mark time.Time) time.Duration {
 	return now.Sub(s.lastAdvance)
 }
 
-func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
+func (a *Analyzer) health(s *ReportServer) any {
 	h := healthStatus{
 		Status:           "ok",
-		Packets:          s.a.PacketsSeen(),
-		Windowing:        s.a.Windowing(),
-		Windows:          s.a.WindowCount(),
-		CompletedWindows: s.a.LatestWindowIndex() + 1,
+		Packets:          a.PacketsSeen(),
+		Windowing:        a.Windowing(),
+		Windows:          a.WindowCount(),
+		CompletedWindows: a.LatestWindowIndex() + 1,
 		FinalReady:       s.finalJSON.Load() != nil,
-		LiveConns:        s.a.LiveConns(),
-		SourceErrors:     s.a.SourceErrorsSeen(),
-		Draining:         s.a.Stopping(),
+		LiveConns:        a.LiveConns(),
+		SourceErrors:     a.SourceErrorsSeen(),
+		Draining:         a.Stopping() || s.draining.Load(),
 	}
-	wm := s.a.Watermark()
+	wm := a.Watermark()
 	if h.Windowing {
-		h.WindowDuration = s.a.WindowDuration().String()
+		h.WindowDuration = a.WindowDuration().String()
 		if !wm.IsZero() {
 			h.Watermark = wm.UTC().Format(time.RFC3339Nano)
 		}
@@ -148,15 +181,28 @@ func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
 	if h.SourceErrors > 0 {
 		h.Status = "degraded"
 	}
-	writeJSON(w, http.StatusOK, h)
+	return h
+}
+
+// finalReport: an analyzer cannot tell its last trace from the next
+// one, so its final report is whatever the caller publishes via SetFinal.
+func (a *Analyzer) finalReport() (*Report, bool) { return nil, false }
+
+func (s *ReportServer) healthz(w http.ResponseWriter, req *http.Request) {
+	b, err := json.MarshalIndent(s.src.health(s), "", "  ")
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	writeBody(w, b)
 }
 
 func (s *ReportServer) latest(w http.ResponseWriter, req *http.Request) {
-	if !s.a.Windowing() {
-		httpError(w, http.StatusNotFound, "windowing disabled; run with -window")
+	if !s.src.Windowing() {
+		httpError(w, http.StatusNotFound, "windowing disabled")
 		return
 	}
-	n := s.a.LatestWindowIndex()
+	n := s.src.LatestWindowIndex()
 	if n < 0 {
 		httpError(w, http.StatusNotFound, "no completed window yet")
 		return
@@ -165,8 +211,8 @@ func (s *ReportServer) latest(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *ReportServer) window(w http.ResponseWriter, req *http.Request) {
-	if !s.a.Windowing() {
-		httpError(w, http.StatusNotFound, "windowing disabled; run with -window")
+	if !s.src.Windowing() {
+		httpError(w, http.StatusNotFound, "windowing disabled")
 		return
 	}
 	raw := strings.TrimPrefix(req.URL.Path, "/report/window/")
@@ -179,42 +225,44 @@ func (s *ReportServer) window(w http.ResponseWriter, req *http.Request) {
 }
 
 func (s *ReportServer) serveWindow(w http.ResponseWriter, n int) {
-	wr, ok := s.a.WindowReport(n)
+	wr, ok := s.src.WindowReport(n)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such window")
 		return
 	}
-	b, err := MarshalReport(wr.Report)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(b, '\n'))
+	serveReport(w, wr.Report)
 }
 
 func (s *ReportServer) final(w http.ResponseWriter, req *http.Request) {
-	b := s.finalJSON.Load()
-	if b == nil {
-		httpError(w, http.StatusNotFound, "analysis still running")
+	if b := s.finalJSON.Load(); b != nil {
+		writeBody(w, *b)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(*b)
-	w.Write([]byte("\n"))
+	r, ok := s.src.finalReport()
+	if !ok {
+		httpError(w, http.StatusNotFound, "final report not ready")
+		return
+	}
+	serveReport(w, r)
 }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	b, err := json.MarshalIndent(v, "", "  ")
+func serveReport(w http.ResponseWriter, r *Report) {
+	b, err := MarshalReport(r)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
+	writeBody(w, b)
+}
+
+// writeBody writes a 200 JSON body and its trailing newline. b may be
+// the shared published report, so the newline is a second write rather
+// than an append into b's spare capacity.
+func writeBody(w http.ResponseWriter, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	w.Write(append(b, '\n'))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b)
+	w.Write([]byte{'\n'})
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

@@ -448,6 +448,3 @@ func (t *Table) Flush() {
 // Conns returns all finalized connections, in no particular order. Call
 // Flush first to include still-live flows.
 func (t *Table) Conns() []*Conn { return t.done }
-
-// Live returns the number of currently tracked connections.
-func (t *Table) Live() int { return len(t.live) }

@@ -107,9 +107,6 @@ func (e *Emitter) Packets() []*pcap.Packet {
 	return out
 }
 
-// Count reports frames emitted so far.
-func (e *Emitter) Count() int { return len(e.pkts) }
-
 // Drain passes every frame buffered since the last Drain to fn in
 // emission order, then clears the buffer for reuse. It is the streaming
 // alternative to Packets: Packets sorts and hands over ownership of the

@@ -43,6 +43,13 @@ type StreamConfig struct {
 	Snaplen uint32
 }
 
+// SubnetStream configures a stream of sched at cfg's first monitored
+// subnet, tap 0, cut to cfg's snaplen: the vantage entgen -schedule
+// writes and entanalyze -gen and entreport -schedule analyze.
+func SubnetStream(cfg enterprise.Config, sched Schedule) StreamConfig {
+	return StreamConfig{Network: enterprise.NewNetwork(cfg), Subnet: cfg.Monitored[0], Schedule: sched, Snaplen: cfg.Snaplen}
+}
+
 // StreamStats is a StreamSource's bounded-memory telemetry.
 type StreamStats struct {
 	// Frames is the total number of frames yielded so far.

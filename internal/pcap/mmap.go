@@ -1,7 +1,6 @@
 package pcap
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -31,16 +30,15 @@ var ErrMmapUnsupported = errors.New("pcap: mmap not supported on this platform")
 // nothing derived from packet Data outlives the run, so closing after
 // AddTraceSource returns is safe.
 //
-// Error semantics mirror Reader record for record: a clean end of the
-// slice is io.EOF; a record cut short — header or body — is a sticky
-// error wrapping io.ErrUnexpectedEOF with the packets before it already
-// delivered; an incl length over the snaplen is a sticky corruption
-// error. All of it classifies identically through ClassifyReadError.
+// Records decode through the Reader's parser and error constructors, so
+// the two agree record for record: a clean end of the slice is io.EOF;
+// a record cut short — header or body — is a sticky error wrapping
+// io.ErrUnexpectedEOF; an incl length over the snaplen is a sticky
+// corruption error.
 type MapSource struct {
 	data   []byte
 	off    int
-	order  binary.ByteOrder
-	hdr    Header
+	f      recordFormat
 	sticky error
 	pool   *Pool
 	// unmap releases the mapping (nil for caller-owned slices).
@@ -54,23 +52,15 @@ func NewMapSource(data []byte) (*MapSource, error) {
 	if len(data) < globalHeaderLen {
 		return nil, fmt.Errorf("pcap: reading global header: %w", io.ErrUnexpectedEOF)
 	}
-	var gh [globalHeaderLen]byte
-	copy(gh[:], data)
-	order, hdr, err := parseGlobalHeader(gh)
+	f, err := parseGlobalHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	return &MapSource{
-		data:  data,
-		off:   globalHeaderLen,
-		order: order,
-		hdr:   hdr,
-		pool:  NewPool(),
-	}, nil
+	return &MapSource{data: data, off: globalHeaderLen, f: f, pool: NewPool()}, nil
 }
 
 // Header returns the trace's global header fields.
-func (s *MapSource) Header() Header { return s.hdr }
+func (s *MapSource) Header() Header { return s.f.hdr }
 
 // Next implements PacketSource. The returned packet's Data aliases the
 // mapped file — no copy — and is valid until Release (or, if Retained,
@@ -84,32 +74,24 @@ func (s *MapSource) Next() (*Packet, error) {
 		return nil, io.EOF
 	}
 	if len(s.data)-s.off < recordHeaderLen {
-		s.sticky = fmt.Errorf("pcap: reading record header: %w", io.ErrUnexpectedEOF)
+		s.sticky = recordHeaderError(io.ErrUnexpectedEOF)
 		return nil, s.sticky
 	}
-	rec := s.data[s.off : s.off+recordHeaderLen]
-	sec := int64(s.order.Uint32(rec[0:4]))
-	frac := int64(s.order.Uint32(rec[4:8]))
-	incl := s.order.Uint32(rec[8:12])
-	orig := s.order.Uint32(rec[12:16])
-	if incl > s.hdr.SnapLen && s.hdr.SnapLen != 0 || incl > 1<<24 {
-		s.sticky = fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, s.hdr.SnapLen)
-		return nil, s.sticky
+	ts, incl, orig, err := s.f.parseRecord((*[recordHeaderLen]byte)(s.data[s.off:]))
+	if err != nil {
+		s.sticky = err
+		return nil, err
 	}
 	body := s.off + recordHeaderLen
-	if len(s.data)-body < int(incl) {
-		s.sticky = fmt.Errorf("pcap: reading packet body: %w", io.ErrUnexpectedEOF)
+	if len(s.data)-body < incl {
+		s.sticky = recordBodyError(io.ErrUnexpectedEOF)
 		return nil, s.sticky
 	}
-	s.off = body + int(incl)
-	nsec := frac * 1000
-	if s.hdr.Nanos {
-		nsec = frac
-	}
+	s.off = body + incl
 	p := s.pool.Get()
-	p.Timestamp = time.Unix(sec, nsec).UTC()
-	p.Data = s.data[body : body+int(incl) : body+int(incl)]
-	p.OrigLen = int(orig)
+	p.Timestamp = ts
+	p.Data = s.data[body : body+incl : body+incl]
+	p.OrigLen = orig
 	return p, nil
 }
 

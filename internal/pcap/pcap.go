@@ -2,9 +2,9 @@
 // 24-byte global header followed by 16-byte-headed packet records. It
 // supports both byte orders, microsecond and nanosecond timestamp variants,
 // snaplen truncation on write (the paper's D1/D2 datasets were captured
-// with a 68-byte snaplen), and timestamp-ordered merging of several
-// unidirectional streams — the way the paper's tracing host merged four
-// NIC streams into one trace.
+// with a 68-byte snaplen), and two readers that decode records
+// identically: the streaming Reader and the zero-copy MapSource over a
+// memory-mapped file.
 //
 // Only link type Ethernet (DLT_EN10MB = 1) is used by this repository, but
 // the reader preserves whatever link type the file declares.
@@ -79,10 +79,8 @@ type Header struct {
 // Reader reads packets from a pcap stream.
 type Reader struct {
 	r      io.Reader
-	order  binary.ByteOrder
-	hdr    Header
+	f      recordFormat
 	rec    [recordHeaderLen]byte
-	nanos  bool
 	sticky error
 }
 
@@ -98,48 +96,85 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if _, err := io.ReadFull(r, gh[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
 	}
-	order, hdr, err := parseGlobalHeader(gh)
+	f, err := parseGlobalHeader(gh[:])
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{
-		r:     r,
-		order: order,
-		nanos: hdr.Nanos,
-		hdr:   hdr,
-	}, nil
+	return &Reader{r: r, f: f}, nil
 }
 
-// parseGlobalHeader decodes a 24-byte pcap global header: magic (either
-// byte order, µs or ns timestamp variant), snaplen, link type. Shared
-// by the streaming Reader and the memory-mapped MapSource.
-func parseGlobalHeader(gh [globalHeaderLen]byte) (binary.ByteOrder, Header, error) {
-	var order binary.ByteOrder
-	var nanos bool
-	switch binary.LittleEndian.Uint32(gh[0:4]) {
-	case MagicMicroseconds:
-		order = binary.LittleEndian
-	case MagicNanoseconds:
-		order, nanos = binary.LittleEndian, true
-	default:
-		switch binary.BigEndian.Uint32(gh[0:4]) {
-		case MagicMicroseconds:
-			order = binary.BigEndian
-		case MagicNanoseconds:
-			order, nanos = binary.BigEndian, true
-		default:
-			return nil, Header{}, ErrBadMagic
-		}
+// recordFormat is what decoding a record header depends on: the global
+// header and its byte order. The streaming Reader and the memory-mapped
+// MapSource share it, so both parse, bound and timestamp every record
+// the same way.
+type recordFormat struct {
+	hdr       Header
+	bigEndian bool
+}
+
+// parseGlobalHeader decodes the 24-byte pcap global header at the start
+// of gh: magic (either byte order, µs or ns timestamp variant), snaplen,
+// link type.
+func parseGlobalHeader(gh []byte) (recordFormat, error) {
+	var f recordFormat
+	var order binary.ByteOrder = binary.LittleEndian
+	magic := order.Uint32(gh[0:4])
+	if magic != MagicMicroseconds && magic != MagicNanoseconds {
+		order, f.bigEndian = binary.BigEndian, true
+		magic = order.Uint32(gh[0:4])
 	}
-	return order, Header{
-		SnapLen:  order.Uint32(gh[16:20]),
-		LinkType: order.Uint32(gh[20:24]),
-		Nanos:    nanos,
-	}, nil
+	switch magic {
+	case MagicMicroseconds:
+	case MagicNanoseconds:
+		f.hdr.Nanos = true
+	default:
+		return recordFormat{}, ErrBadMagic
+	}
+	f.hdr.SnapLen = order.Uint32(gh[16:20])
+	f.hdr.LinkType = order.Uint32(gh[20:24])
+	return f, nil
+}
+
+// parseRecord decodes a 16-byte record header into the capture time,
+// the captured length and the original wire length. A captured length
+// over the snaplen (or over 16 MB when the trace declares none) is
+// corruption. The byte-order loads are inlined, so a record costs one
+// call here rather than four dynamic ByteOrder calls.
+func (f *recordFormat) parseRecord(rec *[recordHeaderLen]byte) (ts time.Time, incl, orig int, err error) {
+	var sec, frac, n, wire uint32
+	if f.bigEndian {
+		sec, frac = binary.BigEndian.Uint32(rec[0:4]), binary.BigEndian.Uint32(rec[4:8])
+		n, wire = binary.BigEndian.Uint32(rec[8:12]), binary.BigEndian.Uint32(rec[12:16])
+	} else {
+		sec, frac = binary.LittleEndian.Uint32(rec[0:4]), binary.LittleEndian.Uint32(rec[4:8])
+		n, wire = binary.LittleEndian.Uint32(rec[8:12]), binary.LittleEndian.Uint32(rec[12:16])
+	}
+	if n > f.hdr.SnapLen && f.hdr.SnapLen != 0 || n > 1<<24 {
+		return time.Time{}, 0, 0, fmt.Errorf("pcap: record length %d exceeds snaplen %d", n, f.hdr.SnapLen)
+	}
+	nsec := int64(frac) * 1000
+	if f.hdr.Nanos {
+		nsec = int64(frac)
+	}
+	return time.Unix(int64(sec), nsec).UTC(), int(n), int(wire), nil
+}
+
+// recordHeaderError and recordBodyError are the two shapes of a failed
+// record read. A record cut short by the end of the input wraps
+// io.ErrUnexpectedEOF, which ClassifyReadError counts as a torn record.
+func recordHeaderError(err error) error {
+	return fmt.Errorf("pcap: reading record header: %w", err)
+}
+
+func recordBodyError(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("pcap: reading packet body: %w", err)
 }
 
 // Header returns the trace's global header fields.
-func (r *Reader) Header() Header { return r.hdr }
+func (r *Reader) Header() Header { return r.f.hdr }
 
 // Next returns the next packet, or io.EOF at a clean end of file. The
 // returned Data slice is freshly allocated to the record's exact size
@@ -176,18 +211,14 @@ func (r *Reader) readInto(p *Packet, reuse bool) error {
 		}
 		// ReadFull's io.ErrUnexpectedEOF (a partial header) stays
 		// visible through the wrapping.
-		r.sticky = fmt.Errorf("pcap: reading record header: %w", err)
+		r.sticky = recordHeaderError(err)
 		return r.sticky
 	}
-	sec := int64(r.order.Uint32(r.rec[0:4]))
-	frac := int64(r.order.Uint32(r.rec[4:8]))
-	incl := r.order.Uint32(r.rec[8:12])
-	orig := r.order.Uint32(r.rec[12:16])
-	if incl > r.hdr.SnapLen && r.hdr.SnapLen != 0 || incl > 1<<24 {
-		r.sticky = fmt.Errorf("pcap: record length %d exceeds snaplen %d", incl, r.hdr.SnapLen)
-		return r.sticky
+	ts, n, orig, err := r.f.parseRecord(&r.rec)
+	if err != nil {
+		r.sticky = err
+		return err
 	}
-	n := int(incl)
 	switch {
 	case cap(p.Data) >= n:
 		p.Data = p.Data[:n]
@@ -197,7 +228,7 @@ func (r *Reader) readInto(p *Packet, reuse bool) error {
 		// but never past the snaplen: no record of this trace can need
 		// more, and a 68-byte header trace must not hold 2 KB per packet.
 		c := roundUpPow2(n)
-		if snap := int(r.hdr.SnapLen); snap != 0 && c > snap {
+		if snap := int(r.f.hdr.SnapLen); snap != 0 && c > snap {
 			c = snap
 		}
 		p.Data = make([]byte, n, c)
@@ -205,18 +236,11 @@ func (r *Reader) readInto(p *Packet, reuse bool) error {
 		p.Data = make([]byte, n)
 	}
 	if _, err := io.ReadFull(r.r, p.Data); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		r.sticky = fmt.Errorf("pcap: reading packet body: %w", err)
+		r.sticky = recordBodyError(err)
 		return r.sticky
 	}
-	nsec := frac * 1000
-	if r.nanos {
-		nsec = frac
-	}
-	p.Timestamp = time.Unix(sec, nsec).UTC()
-	p.OrigLen = int(orig)
+	p.Timestamp = ts
+	p.OrigLen = orig
 	p.retained = false
 	return nil
 }
@@ -235,19 +259,7 @@ func roundUpPow2(n int) int {
 // including a final record truncated by the end of the stream, reported
 // as an error wrapping io.ErrUnexpectedEOF — the packets successfully
 // read before the failure are returned alongside it.
-func (r *Reader) ReadAll() ([]*Packet, error) {
-	var pkts []*Packet
-	for {
-		p, err := r.Next()
-		if err == io.EOF {
-			return pkts, nil
-		}
-		if err != nil {
-			return pkts, err
-		}
-		pkts = append(pkts, p)
-	}
-}
+func (r *Reader) ReadAll() ([]*Packet, error) { return ReadAll(r) }
 
 // Writer writes packets to a pcap stream, truncating to the configured
 // snaplen as a capture device would.

@@ -83,9 +83,6 @@ func NewPooledReader(r *Reader, pool *Pool) *PooledReader {
 	return &PooledReader{r: r, pool: pool}
 }
 
-// Header returns the underlying trace's global header fields.
-func (s *PooledReader) Header() Header { return s.r.Header() }
-
 // Next implements PacketSource. The returned packet is valid until
 // Release; callers keeping slices into its Data must call Retain first.
 func (s *PooledReader) Next() (*Packet, error) {

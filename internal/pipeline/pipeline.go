@@ -30,9 +30,9 @@ import (
 
 // Source is the pipeline's ingest seam: anything that yields packets in
 // capture order, ending with a bare io.EOF. It is pcap's PacketSource;
-// *pcap.Reader (file replay), pcap.SliceSource (in-memory traces),
-// pcap.Merger (multi-tap merge), and gen.StreamSource (the synthetic
-// load harness) all satisfy it directly, and the pipeline cannot tell
+// *pcap.Reader (file replay), pcap.MapSource (memory-mapped files),
+// pcap.SliceSource (in-memory traces), and gen.StreamSource (the
+// synthetic load harness) all satisfy it directly, and the pipeline cannot tell
 // them apart — a streamed generator run and a pcap replay of the same
 // frames produce byte-identical results. Sources that additionally
 // implement pcap.Releaser get each packet back from the router once the
