@@ -45,7 +45,6 @@
 package main
 
 import (
-	"bufio"
 	"errors"
 	"flag"
 	"fmt"
@@ -291,9 +290,9 @@ func run() error {
 				switch {
 				case err == nil:
 					// The mapping can be dropped as soon as the run
-					// returns: the analyzer's borrow contract consumes
-					// every retained view during replay, so nothing
-					// outlives AddTraceSource.
+					// returns: the analyzer copies whatever it keeps
+					// from packet bytes, so no view outlives
+					// AddTraceSource.
 					defer src.Close()
 					return a.AddTraceSource(path, prefix, inj.Wrap(src))
 				case errors.Is(err, pcap.ErrMmapUnsupported):
@@ -309,8 +308,9 @@ func run() error {
 			defer f.Close()
 			// Injection sits between the pcap reader and the pipeline,
 			// so the pooled source is built here rather than by
-			// AddTraceReader.
-			rd, err := pcap.NewReader(bufio.NewReaderSize(f, 1<<20))
+			// AddTraceReader. The reader reads the file in blocks of
+			// its own.
+			rd, err := pcap.NewReader(f)
 			if err != nil {
 				return err
 			}

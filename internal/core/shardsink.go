@@ -60,6 +60,8 @@ type shardSink struct {
 	// Deferred application state, replayed in global packet order.
 	conns map[*flows.Conn]*connStreams
 	udp   []udpEvent
+	// udpSlab holds copies of the captured datagrams' payloads.
+	udpSlab []byte
 }
 
 // udpEvent is one captured datagram for an application protocol the
@@ -144,9 +146,9 @@ func (s *shardSink) Undecodable(idx int64) {
 
 // Packet implements pipeline.Sink. pk may come from a recycled-buffer
 // source: anything that outlives this call must either copy out of
-// pk.Data (TCP reassembly buffers do) or call pk.Retain() (UDP capture
-// does), or a reused buffer would leak other packets' bytes into the
-// analysis.
+// pk.Data (TCP reassembly buffers and UDP capture do) or call
+// pk.Retain(), or a reused buffer would leak other packets' bytes into
+// the analysis.
 func (s *shardSink) Packet(idx int64, pk *pcap.Packet, p *layers.Packet, conn *flows.Conn, dir flows.Dir) {
 	s.countNetLayer(p)
 	switch {
@@ -271,22 +273,36 @@ func (app *connStreams) release() {
 }
 
 // captureUDP records datagrams for the message-based analyzers. The
-// payload slice references the capture buffer, so the packet is retained:
-// a pooled source must not recycle it while the replay still holds the
-// slice. These are the few packets per trace the Retain contract exists
-// for — everything else is copied (reassembly) or consumed immediately.
+// replay reads the payload after the pooled source has taken the packet
+// back, so it is copied into the shard's slab. Retaining the packet
+// instead would pin its whole read block for the rest of the trace.
 func (s *shardSink) captureUDP(idx int64, pk *pcap.Packet, p *layers.Packet) {
 	if len(p.Payload) == 0 || !udpAppPorts(p.UDP.SrcPort, p.UDP.DstPort) {
 		return
 	}
-	pk.Retain()
 	src, _ := p.NetSrc()
 	dst, _ := p.NetDst()
 	s.udp = append(s.udp, udpEvent{
 		idx: idx, ts: pk.Timestamp, src: src, dst: dst,
 		srcPort: p.UDP.SrcPort, dstPort: p.UDP.DstPort,
-		payload: p.Payload,
+		payload: s.keepUDP(p.Payload),
 	})
+}
+
+// udpSlabMax caps the size of one UDP payload slab chunk.
+const udpSlabMax = 64 << 10
+
+// keepUDP copies b into the shard's slab and returns the copy. A full
+// slab is left to the payloads already cut from it, and the next chunk
+// doubles in size up to udpSlabMax, so a trace with a handful of
+// datagrams allocates little and one with many allocates rarely.
+func (s *shardSink) keepUDP(b []byte) []byte {
+	if cap(s.udpSlab)-len(s.udpSlab) < len(b) {
+		s.udpSlab = make([]byte, 0, max(len(b), min(max(2*cap(s.udpSlab), 1<<10), udpSlabMax)))
+	}
+	start := len(s.udpSlab)
+	s.udpSlab = append(s.udpSlab, b...)
+	return s.udpSlab[start:len(s.udpSlab):len(s.udpSlab)]
 }
 
 func (s *shardSink) countNetLayer(p *layers.Packet) {

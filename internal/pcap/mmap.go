@@ -19,28 +19,25 @@ var ErrMmapUnsupported = errors.New("pcap: mmap not supported on this platform")
 // PooledReader: a packet is valid until Release, and consumers keeping
 // slices into Data past the callback must Retain it first.
 //
-// The zero-copy twist is what Release means here. A released packet's
-// Data pointed into the mapping, so Release poisons the struct (Data
-// becomes nil) before recycling it: any use-after-release fails loudly
-// with a nil-slice panic instead of silently reading whatever record
-// the view happened to cover. Retained packets are exempt — their views
+// As with PooledReader, a released packet's Data pointed into shared
+// memory, so Release poisons the struct (Data becomes nil) before
+// recycling it: any use-after-release fails loudly with a nil-slice
+// panic instead of silently reading whatever record the view happened
+// to cover. Retained packets are exempt — their views
 // stay valid until Close unmaps the file, which is why Close must not
 // be called until the run consuming the source has returned. The
 // analysis core's borrow contract (see connStreams.release) guarantees
 // nothing derived from packet Data outlives the run, so closing after
 // AddTraceSource returns is safe.
 //
-// Records decode through the Reader's parser and error constructors, so
-// the two agree record for record: a clean end of the slice is io.EOF;
-// a record cut short — header or body — is a sticky error wrapping
-// io.ErrUnexpectedEOF; an incl length over the snaplen is a sticky
-// corruption error.
+// Records decode through the Reader's walker, over the image as a
+// single block that is never refilled, so the two agree record for
+// record: a clean end of the slice is io.EOF; a record cut short —
+// header or body — is a sticky error wrapping io.ErrUnexpectedEOF; an
+// incl length over the snaplen is a sticky corruption error.
 type MapSource struct {
-	data   []byte
-	off    int
-	f      recordFormat
-	sticky error
-	pool   *Pool
+	rd   Reader
+	pool *Pool
 	// unmap releases the mapping (nil for caller-owned slices).
 	unmap func() error
 }
@@ -56,49 +53,32 @@ func NewMapSource(data []byte) (*MapSource, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &MapSource{data: data, off: globalHeaderLen, f: f, pool: NewPool()}, nil
+	// The whole image is buffered and the stream already at its end.
+	rd := Reader{f: f, buf: data, off: globalHeaderLen, end: len(data), rerr: io.EOF}
+	return &MapSource{rd: rd, pool: NewPool()}, nil
 }
 
 // Header returns the trace's global header fields.
-func (s *MapSource) Header() Header { return s.f.hdr }
+func (s *MapSource) Header() Header { return s.rd.f.hdr }
 
 // Next implements PacketSource. The returned packet's Data aliases the
 // mapped file — no copy — and is valid until Release (or, if Retained,
 // until Close).
 func (s *MapSource) Next() (*Packet, error) {
-	if s.sticky != nil {
-		return nil, s.sticky
-	}
-	if s.off == len(s.data) {
-		s.sticky = io.EOF
-		return nil, io.EOF
-	}
-	if len(s.data)-s.off < recordHeaderLen {
-		s.sticky = recordHeaderError(io.ErrUnexpectedEOF)
-		return nil, s.sticky
-	}
-	ts, incl, orig, err := s.f.parseRecord((*[recordHeaderLen]byte)(s.data[s.off:]))
+	ts, body, orig, err := s.rd.next()
 	if err != nil {
-		s.sticky = err
 		return nil, err
 	}
-	body := s.off + recordHeaderLen
-	if len(s.data)-body < incl {
-		s.sticky = recordBodyError(io.ErrUnexpectedEOF)
-		return nil, s.sticky
-	}
-	s.off = body + incl
 	p := s.pool.Get()
 	p.Timestamp = ts
-	p.Data = s.data[body : body+incl : body+incl]
+	p.Data = body
 	p.OrigLen = orig
 	return p, nil
 }
 
-// Release implements Releaser. Unlike a buffer-recycling pool, the
-// packet's Data is a borrowed view, so Release poisons it — Data nil,
-// lengths zeroed — before returning the struct for reuse. Retained
-// packets are left untouched, views and all.
+// Release implements Releaser. The packet's Data is a borrowed view, so
+// Release poisons it — Data nil, lengths zeroed — before returning the
+// struct for reuse. Retained packets are left untouched, views and all.
 func (s *MapSource) Release(p *Packet) {
 	if p == nil || p.retained {
 		return
@@ -113,11 +93,11 @@ func (s *MapSource) Release(p *Packet) {
 // by Next — including retained packets — dies with it, so Close only
 // after the run consuming this source has fully returned.
 func (s *MapSource) Close() error {
-	s.data = nil
+	s.rd.buf = nil
 	// Any Next after Close is a borrow-contract violation; report it as
 	// such even on a cleanly drained source (a real read error stays).
-	if s.sticky == nil || s.sticky == io.EOF {
-		s.sticky = errors.New("pcap: source closed")
+	if s.rd.sticky == nil || s.rd.sticky == io.EOF {
+		s.rd.sticky = errors.New("pcap: source closed")
 	}
 	if s.unmap == nil {
 		return nil

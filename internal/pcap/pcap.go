@@ -2,27 +2,24 @@
 // 24-byte global header followed by 16-byte-headed packet records. It
 // supports both byte orders, microsecond and nanosecond timestamp variants,
 // snaplen truncation on write (the paper's D1/D2 datasets were captured
-// with a 68-byte snaplen), and two readers that decode records
-// identically: the streaming Reader and the zero-copy MapSource over a
-// memory-mapped file.
+// with a 68-byte snaplen), and one record walker that every reader
+// shares, so they all decode records and fail identically. The streaming
+// Reader reads its input in large blocks and walks them in place: Next
+// and NextInto copy records out, while a PooledReader hands out packets
+// whose Data is a view into a recycled block. MapSource walks a
+// memory-mapped file as a single block that is never refilled.
 //
 // Only link type Ethernet (DLT_EN10MB = 1) is used by this repository, but
 // the reader preserves whatever link type the file declares.
 package pcap
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/bits"
 	"time"
 )
-
-// readBufferSize is the bufio buffer NewReader installs over unbuffered
-// streams. Large enough that even jumbo records need one refill at most.
-const readBufferSize = 256 << 10
 
 // Magic numbers for the two timestamp resolutions, in file byte order.
 const (
@@ -52,13 +49,17 @@ type Packet struct {
 	OrigLen int
 
 	// retained marks a pooled packet whose Data has escaped into
-	// longer-lived state; Pool.Put leaves it alone. See Retain.
+	// longer-lived state; Release leaves it alone. See Retain.
 	retained bool
+	// blk is the read block a PooledReader packet views, until Release.
+	blk *block
 }
 
-// Retain marks the packet as kept by its consumer: a subsequent Pool.Put
-// becomes a no-op, so Data is never recycled out from under references
-// held beyond the packet callback. Harmless on non-pooled packets.
+// Retain marks the packet as kept by its consumer: a subsequent Release
+// (or Pool.Put) leaves it alone, so Data is never recycled out from
+// under references held beyond the packet callback. A retained view into
+// a read block pins that whole block for as long as the packet lives.
+// Harmless on non-pooled packets.
 func (p *Packet) Retain() { p.retained = true }
 
 // Retained reports whether Retain was called since the packet was last
@@ -76,22 +77,33 @@ type Header struct {
 	Nanos bool
 }
 
-// Reader reads packets from a pcap stream.
+// Reader reads packets from a pcap stream. It reads the stream in large
+// blocks straight from the underlying io.Reader and walks the records in
+// place; Next and NextInto copy each record out, and a PooledReader
+// hands out packets that view the blocks themselves.
 type Reader struct {
-	r      io.Reader
-	f      recordFormat
-	rec    [recordHeaderLen]byte
-	sticky error
+	r io.Reader
+	f recordFormat
+	// buf is the block being walked: buf[off:end] has been read from the
+	// stream but not yet walked. rerr is the error the stream's last Read
+	// returned; it surfaces once the walker needs bytes past end.
+	buf      []byte
+	off, end int
+	rerr     error
+	sticky   error
+	// blockSize is the size of a read block, derived from the snaplen.
+	blockSize int
+	// pool is set once a PooledReader owns the reader: blocks then come
+	// from the pool (blk is the current one) and packets view them, so
+	// the walker never rewrites a block a packet may still view.
+	pool *Pool
+	blk  *block
 }
 
-// NewReader parses the global header from r and returns a Reader. Readers
-// without their own buffering (anything not implementing io.ByteReader,
-// such as *os.File) are wrapped in a large bufio.Reader, so record-sized
-// reads never hit the underlying stream directly.
+// NewReader parses the global header from r and returns a Reader. The
+// Reader does its own block buffering, so r is best passed unwrapped: a
+// bufio.Reader in between only adds a copy.
 func NewReader(r io.Reader) (*Reader, error) {
-	if _, ok := r.(io.ByteReader); !ok {
-		r = bufio.NewReaderSize(r, readBufferSize)
-	}
 	var gh [globalHeaderLen]byte
 	if _, err := io.ReadFull(r, gh[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading global header: %w", err)
@@ -100,13 +112,24 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{r: r, f: f}, nil
+	return &Reader{r: r, f: f, blockSize: blockSizeFor(f.hdr.SnapLen)}, nil
+}
+
+// blockSizeFor sizes read blocks to hold 32 of the trace's largest
+// records, within [4 KiB, 256 KiB]. Larger blocks mean fewer Read calls;
+// smaller ones cost less when an in-flight packet pins its block, which
+// is what keeps a 68-byte-snaplen header trace (D1/D2) at 4 KiB blocks.
+// A trace that declares no snaplen gets the largest size.
+func blockSizeFor(snaplen uint32) int {
+	const minBlock, maxBlock = 4 << 10, 256 << 10
+	if snaplen == 0 || snaplen > maxBlock {
+		return maxBlock
+	}
+	return min(max(32*(int(snaplen)+recordHeaderLen), minBlock), maxBlock)
 }
 
 // recordFormat is what decoding a record header depends on: the global
-// header and its byte order. The streaming Reader and the memory-mapped
-// MapSource share it, so both parse, bound and timestamp every record
-// the same way.
+// header and its byte order.
 type recordFormat struct {
 	hdr       Header
 	bigEndian bool
@@ -161,98 +184,186 @@ func (f *recordFormat) parseRecord(rec *[recordHeaderLen]byte) (ts time.Time, in
 
 // recordHeaderError and recordBodyError are the two shapes of a failed
 // record read. A record cut short by the end of the input wraps
-// io.ErrUnexpectedEOF, which ClassifyReadError counts as a torn record.
+// io.ErrUnexpectedEOF, which ClassifyReadError counts as a torn record;
+// any other stream error is wrapped as it is.
 func recordHeaderError(err error) error {
-	return fmt.Errorf("pcap: reading record header: %w", err)
+	return fmt.Errorf("pcap: reading record header: %w", unexpectedEOF(err))
 }
 
 func recordBodyError(err error) error {
+	return fmt.Errorf("pcap: reading packet body: %w", unexpectedEOF(err))
+}
+
+func unexpectedEOF(err error) error {
 	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
+		return io.ErrUnexpectedEOF
 	}
-	return fmt.Errorf("pcap: reading packet body: %w", err)
+	return err
 }
 
 // Header returns the trace's global header fields.
 func (r *Reader) Header() Header { return r.f.hdr }
 
+// next is the record walker every reader shares. It returns the next
+// record's body as a view into the current block, which stays valid
+// until the walker reuses the block: at the next call for Next and
+// NextInto, never while a packet views it for a PooledReader. Failures
+// are sticky. A clean end of the stream is a bare io.EOF; a record cut
+// short, header or body, wraps io.ErrUnexpectedEOF; an incl length over
+// the snaplen is a corruption error.
+func (r *Reader) next() (ts time.Time, body []byte, orig int, err error) {
+	if r.sticky != nil {
+		return ts, nil, 0, r.sticky
+	}
+	if r.end-r.off < recordHeaderLen && !r.fill(recordHeaderLen) {
+		if r.off == r.end && r.rerr == io.EOF {
+			return ts, nil, 0, r.fail(io.EOF)
+		}
+		return ts, nil, 0, r.fail(recordHeaderError(r.rerr))
+	}
+	ts, n, orig, err := r.f.parseRecord((*[recordHeaderLen]byte)(r.buf[r.off:]))
+	if err != nil {
+		return ts, nil, 0, r.fail(err)
+	}
+	rec := recordHeaderLen + n
+	if r.end-r.off < rec && !r.fill(rec) {
+		return ts, nil, 0, r.fail(recordBodyError(r.rerr))
+	}
+	start := r.off + recordHeaderLen
+	r.off += rec
+	return ts, r.buf[start:r.off:r.off], orig, nil
+}
+
+// fail makes err sticky and lets go of the current block: a pooled
+// block goes back to the pool once its last packet is released.
+func (r *Reader) fail(err error) error {
+	r.sticky = err
+	r.buf, r.off, r.end = nil, 0, 0
+	if r.blk != nil {
+		r.pool.unref(r.blk)
+		r.blk = nil
+		r.pool.trim()
+	}
+	return err
+}
+
+// maxEmptyReads bounds how many (0, nil) results in a row fill accepts
+// before giving up on the stream, as bufio does.
+const maxEmptyReads = 100
+
+// fill reads from the stream until at least need bytes are buffered past
+// off, making room each time the block is full. It reports false when
+// the stream ends or fails first; rerr says how.
+func (r *Reader) fill(need int) bool {
+	for empty := 0; r.end-r.off < need; {
+		if r.rerr != nil {
+			return false
+		}
+		if r.end == len(r.buf) {
+			r.makeRoom(need)
+		}
+		n, err := r.r.Read(r.buf[r.end:])
+		r.end += n
+		switch {
+		case err != nil:
+			r.rerr = err
+		case n > 0:
+			empty = 0
+		case empty+1 == maxEmptyReads:
+			r.rerr = io.ErrNoProgress
+		default:
+			empty++
+		}
+	}
+	return true
+}
+
+// makeRoom moves the unread bytes to the front of a block with room to
+// read more toward need bytes. A copying reader compacts its buffer in
+// place when it is large enough. A pooled reader does so only while no
+// packet views the block, and the block's packet structs then start
+// over; otherwise it moves on to another block and drops its own
+// reference to the old one.
+func (r *Reader) makeRoom(need int) {
+	unread := r.buf[r.off:r.end]
+	size := max(need, r.fitRest(len(unread)))
+	if need > r.blockSize {
+		// A record larger than a block: grow toward it by doubling, so
+		// a bogus length in a short input costs no giant allocation.
+		size = min(need, max(2*len(unread), r.blockSize))
+	}
+	switch {
+	case r.pool != nil && (len(r.buf) < size || r.blk == nil || r.blk.viewed()):
+		old := r.blk
+		r.blk = r.pool.getBlock(r.blockSize, size)
+		r.buf = r.blk.buf
+		copy(r.buf, unread)
+		if old != nil {
+			r.pool.unref(old)
+		}
+	case len(r.buf) < size:
+		r.buf = make([]byte, size)
+		copy(r.buf, unread)
+	default:
+		copy(r.buf, unread)
+		if r.blk != nil {
+			r.blk.npkt = 0
+		}
+	}
+	r.end -= r.off
+	r.off = 0
+}
+
+// fitRest is the size of a block for the rest of the input: the block
+// size, or less when the stream can tell (a Len method, as on
+// bytes.Reader) that fewer bytes remain, so a small in-memory trace does
+// not cost a full block. unread counts the bytes already buffered.
+func (r *Reader) fitRest(unread int) int {
+	if l, ok := r.r.(interface{ Len() int }); ok && unread+l.Len() < r.blockSize {
+		return unread + l.Len()
+	}
+	return r.blockSize
+}
+
 // Next returns the next packet, or io.EOF at a clean end of file. The
 // returned Data slice is freshly allocated to the record's exact size
-// and owned by the caller; for an allocation-free hot path use NextInto
-// with recycled packets.
+// and owned by the caller; for an allocation-free hot path use a
+// PooledReader.
 func (r *Reader) Next() (*Packet, error) {
 	p := new(Packet)
-	if err := r.readInto(p, false); err != nil {
+	if err := r.copyNext(p, 0); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// NextInto reads the next record into p, reusing p.Data's capacity when it
-// fits, and returns io.EOF at a clean end of file. A record cut short by
-// the end of the stream — header or body — yields an error wrapping
-// io.ErrUnexpectedEOF. Any previous contents of p are overwritten.
-func (r *Reader) NextInto(p *Packet) error {
-	return r.readInto(p, true)
-}
+// minDataCap is the smallest Data buffer NextInto allocates: a
+// full-size Ethernet frame fits, so a reused packet stops reallocating
+// once it has seen one.
+const minDataCap = 2048
 
-// readInto is the shared record reader. reuse selects the buffer policy:
-// rounded-up allocations that converge under recycling (NextInto), or
-// exact-size allocations for packets the caller keeps (Next) — a
-// materialized header-only trace must not pay 2 KB per 96-byte record.
-func (r *Reader) readInto(p *Packet, reuse bool) error {
-	if r.sticky != nil {
-		return r.sticky
-	}
-	if _, err := io.ReadFull(r.r, r.rec[:]); err != nil {
-		if err == io.EOF {
-			r.sticky = io.EOF
-			return io.EOF
-		}
-		// ReadFull's io.ErrUnexpectedEOF (a partial header) stays
-		// visible through the wrapping.
-		r.sticky = recordHeaderError(err)
-		return r.sticky
-	}
-	ts, n, orig, err := r.f.parseRecord(&r.rec)
+// NextInto reads the next record into p, copying it into p.Data's
+// capacity when it fits, and returns io.EOF at a clean end of file. A
+// record cut short by the end of the stream — header or body — yields an
+// error wrapping io.ErrUnexpectedEOF. Any previous contents of p are
+// overwritten.
+func (r *Reader) NextInto(p *Packet) error { return r.copyNext(p, minDataCap) }
+
+// copyNext copies the next record into p, replacing p.Data with a
+// buffer of at least minCap bytes when the record does not fit it.
+func (r *Reader) copyNext(p *Packet, minCap int) error {
+	ts, body, orig, err := r.next()
 	if err != nil {
-		r.sticky = err
 		return err
 	}
-	switch {
-	case cap(p.Data) >= n:
-		p.Data = p.Data[:n]
-	case reuse:
-		// Round the allocation up so a recycled buffer converges on the
-		// trace's largest record instead of reallocating per size class,
-		// but never past the snaplen: no record of this trace can need
-		// more, and a 68-byte header trace must not hold 2 KB per packet.
-		c := roundUpPow2(n)
-		if snap := int(r.f.hdr.SnapLen); snap != 0 && c > snap {
-			c = snap
-		}
-		p.Data = make([]byte, n, c)
-	default:
-		p.Data = make([]byte, n)
+	if cap(p.Data) < len(body) {
+		p.Data = make([]byte, 0, max(len(body), minCap))
 	}
-	if _, err := io.ReadFull(r.r, p.Data); err != nil {
-		r.sticky = recordBodyError(err)
-		return r.sticky
-	}
+	p.Data = append(p.Data[:0], body...)
 	p.Timestamp = ts
 	p.OrigLen = orig
 	p.retained = false
 	return nil
-}
-
-// roundUpPow2 rounds n up to the next power of two, with a floor that
-// covers typical full-size Ethernet frames.
-func roundUpPow2(n int) int {
-	const floor = 2048
-	if n <= floor {
-		return floor
-	}
-	return 1 << bits.Len(uint(n-1))
 }
 
 // ReadAll drains the reader, returning every packet until EOF. On error —

@@ -187,40 +187,6 @@ func snapTrace(t testing.TB, snaplen uint32, n int) []byte {
 	return raw
 }
 
-// TestPooledReaderSizesBuffersToSnaplen pins the recycled-buffer sizing:
-// a header trace's buffers are capped at its snaplen, while traces with
-// no limit (0) or the conventional 65535 keep the power-of-two sizing
-// with its 2048-byte floor.
-func TestPooledReaderSizesBuffersToSnaplen(t *testing.T) {
-	for _, tc := range []struct {
-		snaplen uint32
-		wantCap func(n int) int
-	}{
-		{68, func(int) int { return 68 }},
-		{0, func(n int) int { return roundUpPow2(n) }},
-		{65535, func(n int) int { return roundUpPow2(n) }},
-	} {
-		src := NewPooledReader(mustReader(t, snapTrace(t, tc.snaplen, 200)), nil)
-		for i := 0; ; i++ {
-			p, err := src.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Each packet gets a fresh buffer: none is released.
-			if got, want := cap(p.Data), tc.wantCap(len(p.Data)); got != want {
-				t.Fatalf("snaplen %d packet %d (%d bytes): cap %d, want %d",
-					tc.snaplen, i, len(p.Data), got, want)
-			}
-		}
-	}
-	if got := roundUpPow2(100); got != 2048 {
-		t.Fatalf("roundUpPow2(100) = %d, want the 2048 floor", got)
-	}
-}
-
 // TestPoolReusedAcrossSnaplens reads a snaplen-68 trace and then a
 // snaplen-1500 trace through one shared Pool — the second trace's
 // records outgrow the first's 68-byte buffers — and checks both yield

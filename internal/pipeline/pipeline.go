@@ -249,13 +249,18 @@ func (w *worker) drain() {
 // to allocating.
 //
 // The pool is also where pooled sources get their packets back. A
-// worker puts a batch back whole, packets included, and the router
-// releases them when it takes the batch out again (get) or when Run
-// ends (drain). Release thus runs on one goroutine, once per packet,
-// and only after the worker's last touch of the batch: the channel
-// send in put orders that before the router's receive.
+// worker puts a batch back whole, packets included. Each time the
+// router needs a batch it takes every batch handed back so far off the
+// list, releases their packets and keeps the emptied batches in spare;
+// when Run ends it does the same once more (drain). Release thus runs on
+// one goroutine, once per packet, and only after the worker's last
+// touch of the batch: the channel send in put orders that before the
+// router's receive. Releasing every returned batch at once, rather than
+// one per get, keeps packets that are done from holding source memory
+// while they wait on the list.
 type batchPool struct {
 	free      chan []item
+	spare     [][]item // router-only: emptied batches, packets released
 	batchSize int
 	// release recycles a packet; nil when the source does not pool.
 	release func(*pcap.Packet)
@@ -263,47 +268,46 @@ type batchPool struct {
 
 func newBatchPool(workers, batchSize int, release func(*pcap.Packet)) *batchPool {
 	// Capacity covers every batch that can exist at once. The router
-	// allocates only when the list is empty, so every batch ever made
-	// is in flight or free, and at most workerQueueDepth+2 per worker
-	// are in flight: the channel buffer, one being drained and one
-	// being filled by the router. put therefore never blocks.
+	// allocates only when the list and spare are empty, so every batch
+	// ever made is in flight, free or spare, and at most
+	// workerQueueDepth+2 per worker are in flight: the channel buffer,
+	// one being drained and one being filled by the router. put
+	// therefore never blocks.
+	n := workers * (workerQueueDepth + 2)
 	return &batchPool{
-		free:      make(chan []item, workers*(workerQueueDepth+2)),
+		free:      make(chan []item, n),
+		spare:     make([][]item, 0, n),
 		batchSize: batchSize,
 		release:   release,
 	}
 }
 
 func (p *batchPool) get() []item {
-	select {
-	case b := <-p.free:
-		p.recycle(b)
+	p.drain()
+	if n := len(p.spare); n > 0 {
+		b := p.spare[n-1]
+		p.spare = p.spare[:n-1]
 		return b[:0]
-	default:
-		return make([]item, 0, p.batchSize)
 	}
+	return make([]item, 0, p.batchSize)
 }
 
 func (p *batchPool) put(b []item) { p.free <- b }
 
-// recycle releases the packets of a batch a worker has drained.
-func (p *batchPool) recycle(b []item) {
-	if p.release == nil {
-		return
-	}
-	for _, it := range b {
-		p.release(it.p)
-	}
-}
-
-// drain releases the packets of every batch still on the list. The
-// router calls it after all workers have exited, so no batch is in
-// flight and every routed packet not yet released is on the list.
+// drain takes every batch the workers have handed back off the list,
+// releases its packets and keeps it as spare. After all workers have
+// exited no batch is in flight, so draining then releases every routed
+// packet not yet released.
 func (p *batchPool) drain() {
 	for {
 		select {
 		case b := <-p.free:
-			p.recycle(b)
+			if p.release != nil {
+				for _, it := range b {
+					p.release(it.p)
+				}
+			}
+			p.spare = append(p.spare, b)
 		default:
 			return
 		}

@@ -407,3 +407,201 @@ func TestRunRecyclesEveryPacketOnce(t *testing.T) {
 		}
 	}
 }
+
+// blockAudit sits between the router and a pooled pcap reader. It keeps
+// a copy of every packet's bytes as the packet is delivered and checks
+// each Release against it: a packet whose bytes changed before its
+// release viewed a read block that was recycled under it, and a
+// released packet must come back poisoned. Next and Release run on the
+// router goroutine; the sink reads want on the workers, after the
+// router's channel send.
+type blockAudit struct {
+	inner interface {
+		pcap.PacketSource
+		pcap.Releaser
+	}
+	want     [][]byte
+	idxOf    map[*pcap.Packet]int64
+	n        atomic.Int64
+	problems []string
+
+	// Written by the sink on worker goroutines, indexed by delivery.
+	retained []atomic.Pointer[pcap.Packet]
+	nRetain  atomic.Int64
+	nChanged atomic.Int64
+}
+
+func (a *blockAudit) problem(format string, args ...any) {
+	if len(a.problems) < 10 {
+		a.problems = append(a.problems, fmt.Sprintf(format, args...))
+	}
+}
+
+func (a *blockAudit) Next() (*pcap.Packet, error) {
+	p, err := a.inner.Next()
+	if err != nil {
+		return nil, err
+	}
+	idx := a.n.Load()
+	a.want[idx] = bytes.Clone(p.Data)
+	a.idxOf[p] = idx
+	a.n.Add(1)
+	return p, nil
+}
+
+func (a *blockAudit) Release(p *pcap.Packet) {
+	idx, ok := a.idxOf[p]
+	if !ok {
+		a.problem("release of a packet not handed out")
+		return
+	}
+	delete(a.idxOf, p)
+	if !bytes.Equal(p.Data, a.want[idx]) {
+		a.problem("packet %d's block was recycled before the packet's release", idx)
+	}
+	retained := p.Retained()
+	a.inner.Release(p)
+	if !retained && p.Data != nil {
+		a.problem("released packet %d still has its Data", idx)
+	}
+}
+
+// blockSink checks every packet's bytes on the worker and retains one
+// packet in 97.
+type blockSink struct{ a *blockAudit }
+
+func (k blockSink) Packet(idx int64, pk *pcap.Packet, _ *layers.Packet, _ *flows.Conn, _ flows.Dir) {
+	if !bytes.Equal(pk.Data, k.a.want[idx]) {
+		k.a.nChanged.Add(1)
+	}
+	if idx%97 == 5 {
+		pk.Retain()
+		k.a.retained[idx].Store(pk)
+		k.a.nRetain.Add(1)
+	}
+}
+
+func (k blockSink) Undecodable(int64) {}
+
+// TestRunRecyclesEveryBlockOnce runs a trace of many read blocks through
+// a pooled pcap reader at every end of a run — clean EOF, a Stopped
+// request, a FailFast torn record, and Degrade skipping a recoverable
+// fault before ending at the torn record. After the run (and, when
+// stopped, after the rest of the trace is drained) every block must be
+// back on the pool's free list or dropped for good, pinned blocks
+// included; no block may be recycled while a packet views it; released
+// packets come back poisoned; and retained packets keep their own bytes
+// although later blocks were reused.
+func TestRunRecyclesEveryBlockOnce(t *testing.T) {
+	recs := testTrace(t)
+	if len(recs) > 3000 {
+		recs = recs[:3000]
+	}
+	// A 96-byte snaplen gives 4 KiB blocks: the trace spans dozens.
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, 96, pcap.LinkTypeEthernet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range recs {
+		if err := w.WriteCaptured(p.Timestamp, p.Data, p.OrigLen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := buf.Bytes()
+	torn := raw[:len(raw)-7]
+	const blockSize = 4 << 10
+	walked := len(raw) / blockSize
+	ends := []struct {
+		name    string
+		raw     []byte
+		inject  string
+		policy  ErrorPolicy
+		stopAt  int64
+		wantErr bool
+	}{
+		{name: "eof", raw: raw},
+		{name: "stopped", raw: raw, stopAt: 1500},
+		{name: "failfast", raw: torn, wantErr: true},
+		{name: "degrade", raw: torn, inject: "read@300", policy: Degrade},
+	}
+	for _, end := range ends {
+		for _, workers := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/workers=%d", end.name, workers)
+			pool := pcap.NewPool()
+			rd, err := pcap.NewReader(bytes.NewReader(end.raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := &blockAudit{
+				inner:    pcap.NewPooledReader(rd, pool),
+				want:     make([][]byte, len(recs)),
+				idxOf:    make(map[*pcap.Packet]int64),
+				retained: make([]atomic.Pointer[pcap.Packet], len(recs)),
+			}
+			if end.inject != "" {
+				sched, err := faults.ParseSpec(end.inject)
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.inner = faults.Wrap(a.inner, sched)
+			}
+			// Small batches keep the in-flight packets to a few blocks,
+			// so blocks are recycled many times over.
+			cfg := Config{
+				Workers:   workers,
+				BatchSize: 16,
+				OnError:   end.policy,
+				NewSink:   func(int, time.Time) Sink { return blockSink{a} },
+			}
+			if end.stopAt > 0 {
+				cfg.Stopped = func() bool { return a.n.Load() >= end.stopAt }
+			}
+			res, err := Run(a, cfg)
+			if (err != nil) != end.wantErr {
+				t.Fatalf("%s: err = %v, want error %v", name, err, end.wantErr)
+			}
+			if end.policy == Degrade && len(res.SourceErrors) != 2 {
+				t.Errorf("%s: source errors %+v, want a read error then a torn record", name, res.SourceErrors)
+			}
+			if end.stopAt > 0 {
+				if !res.Stopped {
+					t.Errorf("%s: run was not stopped", name)
+				}
+				// The reader still holds the block it stopped in; the
+				// rest of the trace gives it back.
+				for {
+					p, err := a.Next()
+					if err != nil {
+						break
+					}
+					a.Release(p)
+				}
+			}
+			for _, p := range a.problems {
+				t.Errorf("%s: %s", name, p)
+			}
+			if n := a.nChanged.Load(); n > 0 {
+				t.Errorf("%s: %d packets reached their worker with changed bytes", name, n)
+			}
+			if len(a.idxOf) != 0 {
+				t.Errorf("%s: %d packets never came back", name, len(a.idxOf))
+			}
+			st := pool.BlockStats()
+			if st.Made != st.Free+st.Dropped {
+				t.Errorf("%s: %d blocks made, %d free, %d dropped: not every block came back once", name, st.Made, st.Free, st.Dropped)
+			}
+			if st.Made >= walked {
+				t.Errorf("%s: %d blocks made for %d walked; no block was reused, so the checks cover nothing", name, st.Made, walked)
+			}
+			if a.nRetain.Load() == 0 || st.Dropped == 0 {
+				t.Errorf("%s: %d retained packets, %d dropped blocks; the pinning checks cover nothing", name, a.nRetain.Load(), st.Dropped)
+			}
+			for idx := range a.retained {
+				if pk := a.retained[idx].Load(); pk != nil && !bytes.Equal(pk.Data, a.want[idx]) {
+					t.Errorf("%s: retained packet %d lost its bytes to a recycled block", name, idx)
+				}
+			}
+		}
+	}
+}
